@@ -1,9 +1,11 @@
-"""Exact rational arithmetic: dense matrices, Laurent polynomials, series.
+"""Exact rational arithmetic: matrices, sparse elimination, Laurent polynomials, series.
 
 Everything here is over the rationals in characteristic zero.  All values
-are immutable after construction and safe to share between threads.  Row
-reduction uses leftmost-pivot, first-nonzero-row selection so that every
-basis chosen downstream is reproducible.
+are immutable after construction and safe to share between threads.
+Matrices are stored densely; row reduction works on sparse rows and
+returns the reduced row echelon form, which is unique for the row space,
+so every basis chosen downstream is reproducible whatever order the rows
+arrive in.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ def qq(value, den=None):
         value = value.strip()
         if "/" in value:
             p, q = value.split("/")
-            return _mpq(int(p), int(q))
+            q = int(q)
+            if not q:
+                raise ValueError("zero denominator in %r" % value)
+            return _mpq(int(p), q)
         return _mpq(int(value))
     return _mpq(value)
 
@@ -39,6 +44,10 @@ def qq_str(value) -> str:
 
 def _as_scalar(x):
     return x if isinstance(x, QQ) else _mpq(x)
+
+
+ZERO = _mpq(0)
+ONE = _mpq(1)
 
 
 class Matrix:
@@ -56,12 +65,21 @@ class Matrix:
         self.entries = entries
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries) -> "Matrix":
+        """Wrap an entry grid this module built from exact rationals, uncoerced."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "Matrix":
@@ -88,7 +106,7 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
+        return Matrix._of(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector."""
@@ -107,21 +125,22 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         cols = [self.apply(other.column(j)) for j in range(other.cols)]
-        return Matrix.from_columns(cols, rows=self.rows)
+        return Matrix._of(self.rows, other.cols,
+                          [[c[i] for c in cols] for i in range(self.rows)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols,
+                          [[a + b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols,
+                          [[a - b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -143,38 +162,60 @@ class Matrix:
                                        [[qq_str(x) for x in row] for row in self.entries])
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns.
+def _axpy(row: dict, a, other: dict) -> None:
+    """row += a * other on sparse rows, dropping entries that cancel."""
+    for j, x in other.items():
+        v = row.get(j)
+        if v is None:
+            row[j] = a * x
+        else:
+            v += a * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
 
-    Deterministic: pivots are chosen leftmost column first, first nonzero
-    row from the top.  Idempotent on its own output.
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns.
+
+    The reduced row echelon form of a row space is unique, so the result
+    does not depend on the order rows are reduced in.  Rows are kept as
+    {column: value} dicts and reduced by incremental Gauss-Jordan: an
+    incoming row is cleared at every pivot column it hits, a row that
+    reduces to zero is dropped, and otherwise its leftmost entry becomes
+    a new pivot, which is cleared from the pivot rows already held.
+    Idempotent on its own output.
     """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if a[i][c]), None)
-        if pr is None:
+    nc = m.cols
+    held: dict[int, dict] = {}
+    for dense in m.entries:
+        # most zeros here are the shared ZERO; the identity test skips Fraction.__bool__
+        row = {j: x for j, x in enumerate(dense) if x is not ZERO and x}
+        # pivot rows are zero at every other pivot column, so each hit's
+        # multiplier can be read before any of them is cleared
+        for c, f in [(c, row[c]) for c in row if c in held]:
+            _axpy(row, -f, held[c])
+        if not row:
             continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
+        c = min(row)
+        inv = row[c]
         if inv != 1:
-            a[r] = [x / inv for x in a[r]]
-        arow = a[r]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                ai = a[i]
-                for j in range(c, nc):
-                    if arow[j]:
-                        ai[j] -= f * arow[j]
-        pivots.append(c)
-        r += 1
-    return Matrix(nr, nc, a), pivots
+            row = {j: x / inv for j, x in row.items()}
+        for other in held.values():
+            f = other.get(c)
+            if f is not None:
+                _axpy(other, -f, row)
+        held[c] = row
+    pivots = sorted(held)
+    entries = []
+    for c in pivots:
+        dense = [ZERO] * nc
+        for j, x in held[c].items():
+            dense[j] = x
+        entries.append(dense)
+    entries.extend([ZERO] * nc for _ in range(m.rows - len(pivots)))
+    return Matrix._of(m.rows, nc, entries), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -186,14 +227,12 @@ def kernel_basis(m: Matrix) -> Matrix:
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    cols = []
-    for f in free:
-        v = [qq(0)] * m.cols
-        v[f] = qq(1)
+    entries = [[ZERO] * len(free) for _ in range(m.cols)]
+    for k, f in enumerate(free):
+        entries[f][k] = ONE
         for r_idx, pc in enumerate(pivots):
-            v[pc] = -red.entries[r_idx][f]
-        cols.append(v)
-    return Matrix.from_columns(cols, rows=m.cols)
+            entries[pc][k] = -red.entries[r_idx][f]
+    return Matrix._of(m.cols, len(free), entries)
 
 
 def det(m: Matrix):
@@ -227,12 +266,12 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix(n, 2 * n, [list(row) + [1 if i == j else 0 for j in range(n)]
-                            for i, row in enumerate(m.entries)])
+    aug = Matrix._of(n, 2 * n, [row + [ONE if i == j else ZERO for j in range(n)]
+                                for i, row in enumerate(m.entries)])
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, [row[n:] for row in red.entries])
+    return Matrix._of(n, n, [row[n:] for row in red.entries])
 
 
 class SpanBuilder:

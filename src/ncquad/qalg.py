@@ -5,19 +5,19 @@ relations.  Graded components are built by the exact recurrence
 
     A_{n+1} = (V (x) A_n) / image(R (x) A_{n-1}),
 
-which is correct for quadratic algebras and needs nothing beyond dense
-rational kernels.  Normal-word bases are picked by deglex pivoting with
-a fixed generator order, so identical inputs always produce identical
-tables.  Words are tuples of generator indices; the degree-2 word space
-indexes the pair (i, j) at position i*g + j.
+which is correct for quadratic algebras.  The image rows are formed
+sparsely and reduced by exact elimination.  Normal-word bases are picked
+by deglex pivoting with a fixed generator order, so identical inputs
+always produce identical tables.  Words are tuples of generator indices;
+the degree-2 word space indexes the pair (i, j) at position i*g + j.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .exactlin import Matrix, kernel_basis, qq, qq_str, rank, rref
+from .exactlin import ONE, ZERO, Matrix, kernel_basis, qq, qq_str, rank, rref
 
 
 class DegreeOverflowError(ValueError):
@@ -87,19 +87,33 @@ class QuadraticPresentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadraticPresentation":
-        names = [str(n) for n in data["generators"]]
-        index = {n: i for i, n in enumerate(names)}
-        g = len(names)
-        rels = []
-        for terms in data["relations"]:
-            vec = [qq(0)] * (g * g)
-            for term in terms:
-                word = term["word"]
-                if len(word) != 2:
-                    raise ValueError("relation word %r is not quadratic" % (word,))
-                i, j = index[word[0]], index[word[1]]
-                vec[i * g + j] += qq(term["coef"])
-            rels.append(vec)
+        """Parse the JSON presentation format; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("presentation is not a JSON object")
+        for key in ("generators", "relations"):
+            if key not in data:
+                raise ValueError("presentation has no %r key" % key)
+        try:
+            names = [str(n) for n in data["generators"]]
+            index = {n: i for i, n in enumerate(names)}
+            g = len(names)
+            rels = []
+            for terms in data["relations"]:
+                vec = [qq(0)] * (g * g)
+                for term in terms:
+                    word = term["word"]
+                    if len(word) != 2:
+                        raise ValueError("relation word %r is not quadratic" % (word,))
+                    unknown = [w for w in word if w not in index]
+                    if unknown:
+                        raise ValueError("relation word %r uses unknown generator %r"
+                                         % (word, unknown[0]))
+                    i, j = index[word[0]], index[word[1]]
+                    vec[i * g + j] += qq(term["coef"])
+                rels.append(vec)
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed presentation: %s %s"
+                             % (type(exc).__name__, exc)) from None
         return cls(names, rels)
 
     def dump(self) -> str:
@@ -141,11 +155,14 @@ class GradedTable:
     words: list[list[tuple[int, ...]]]
     left: list[list[Matrix]]
     right: list[list[Matrix]]
-    word_index: list[dict] = field(repr=False, default_factory=list)
 
-    def __post_init__(self):
-        if not self.word_index:
-            self.word_index = [{w: b for b, w in enumerate(ws)} for ws in self.words]
+
+def _from_sparse_columns(cols: list, rows: int) -> Matrix:
+    entries = [[ZERO] * len(cols) for _ in range(rows)]
+    for b, col in enumerate(cols):
+        for t, x in col.items():
+            entries[t][b] = x
+    return Matrix._of(rows, len(cols), entries)
 
 
 def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
@@ -155,91 +172,82 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     g = p.num_generators
     dims = [1, g]
     words: list[list[tuple[int, ...]]] = [[()], [(i,) for i in range(g)]]
-    unit_cols = Matrix.identity(g).columns()
-    left = [[Matrix.from_columns([unit_cols[i]]) for i in range(g)]]
-    right = [[Matrix.from_columns([unit_cols[i]]) for i in range(g)]]
+    # generator maps of the last degree as sparse columns {row: value}
+    lcols = rcols = [[{i: ONE}] for i in range(g)]
+    left = [[_from_sparse_columns(c, g) for c in lcols]]
+    right = list(left)
+    # each relation as, per first letter i, the (second letter, coefficient) terms
+    rel_terms = [[[(j, rel[i * g + j]) for j in range(g) if rel[i * g + j]]
+                  for i in range(g)] for rel in p.relations]
 
     for n in range(1, max_degree):
         d_prev, d_n = dims[n - 1], dims[n]
         m = g * d_n
-        coord_words = [(i,) + words[n][b] for i in range(g) for b in range(d_n)]
-
-        # image of R (x) A_{n-1} inside V (x) A_n
-        image_rows = []
-        lmaps = left[n - 1]
-        for rel in p.relations:
-            cols_by_gen = [[qq(0)] * d_n for _ in range(g)]
-            for b in range(d_prev):
-                for i in range(g):
-                    base = i * g
-                    row_acc = None
-                    for j in range(g):
-                        c = rel[base + j]
-                        if c:
-                            col = lmaps[j].column(b)
-                            if row_acc is None:
-                                row_acc = [c * x for x in col]
-                            else:
-                                for t, x in enumerate(col):
-                                    if x:
-                                        row_acc[t] += c * x
-                    cols_by_gen[i] = row_acc or [qq(0)] * d_n
-                vec = [qq(0)] * m
-                for i in range(g):
-                    seg = cols_by_gen[i]
-                    off = i * d_n
-                    for t, x in enumerate(seg):
-                        if x:
-                            vec[off + t] = x
-                image_rows.append(vec)
-
+        coord_words = [(i,) + w for i in range(g) for w in words[n]]
         # deglex pivoting: eliminate lex-largest words first
-        perm = sorted(range(m), key=lambda k: coord_words[k], reverse=True)
-        permuted = [[row[perm[k]] for k in range(m)] for row in image_rows]
-        red, pivots = rref(Matrix.from_rows(permuted, cols=m))
-        pivot_set = set(pivots)
-        free_positions = [k for k in range(m) if k not in pivot_set]
-        basis_positions = list(reversed(free_positions))  # ascending word order
-        d_next = len(basis_positions)
-        pos_to_basis = {k: idx for idx, k in enumerate(basis_positions)}
-        pivot_rows = [(pc, red.entries[r_idx],
-                       [j for j in basis_positions if red.entries[r_idx][j]])
-                      for r_idx, pc in enumerate(pivots)]
-        pivot_lookup = {pc: (row, nz) for pc, row, nz in pivot_rows}
+        perm = sorted(range(m), key=coord_words.__getitem__, reverse=True)
         inv_perm = [0] * m
         for k, orig in enumerate(perm):
             inv_perm[orig] = k
 
+        # image of R (x) A_{n-1} inside V (x) A_n, in pivoting column order
+        image_rows = []
+        for terms in rel_terms:
+            for b in range(d_prev):
+                row: dict = {}
+                for i, ts in enumerate(terms):
+                    off = i * d_n
+                    for j, c in ts:
+                        for t, x in lcols[j][b].items():
+                            k = inv_perm[off + t]
+                            v = row.get(k)
+                            row[k] = c * x if v is None else v + c * x
+                dense = [ZERO] * m
+                for k, v in row.items():
+                    dense[k] = v
+                image_rows.append(dense)
+
+        red, pivots = rref(Matrix._of(len(image_rows), m, image_rows))
+        pivot_set = set(pivots)
+        # free positions, right to left: ascending word order
+        basis_positions = [k for k in range(m - 1, -1, -1) if k not in pivot_set]
+        d_next = len(basis_positions)
+        pos_to_basis = {k: idx for idx, k in enumerate(basis_positions)}
+        pivot_rows = dict(zip(pivots, red.entries))
         new_words = [coord_words[perm[k]] for k in basis_positions]
 
         # left maps: reduce each unit coordinate modulo the image
-        lmat = [[None] * d_n for _ in range(g)]
+        next_lcols = []
         for i in range(g):
+            cols = []
             for b in range(d_n):
                 k = inv_perm[i * d_n + b]
-                col = [qq(0)] * d_next
-                if k in pivot_lookup:
-                    row, nz = pivot_lookup[k]
-                    for j in nz:
-                        col[pos_to_basis[j]] = -row[j]
+                row = pivot_rows.get(k)
+                if row is None:
+                    cols.append({pos_to_basis[k]: ONE})
                 else:
-                    col[pos_to_basis[k]] = qq(1)
-                lmat[i][b] = col
-        left.append([Matrix.from_columns(lmat[i], rows=d_next) for i in range(g)])
-
-        dims.append(d_next)
-        words.append(new_words)
+                    cols.append({pos_to_basis[j]: -row[j] for j in basis_positions if row[j]})
+            next_lcols.append(cols)
 
         # right maps, recursively: (x_j w') x_i = x_j (w' x_i)
         word_idx_prev = {w: b for b, w in enumerate(words[n - 1])}
-        rmat = [[None] * d_n for _ in range(g)]
-        for b in range(d_n):
-            j = words[n][b][0]
-            tail = words[n][b][1:]
-            b_tail = word_idx_prev[tail]
+        next_rcols = [[] for _ in range(g)]
+        for w in words[n]:
+            lj = next_lcols[w[0]]
+            b_tail = word_idx_prev[w[1:]]
             for i in range(g):
-                rmat[i][b] = left[n][j].apply(right[n - 1][i].column(b_tail))
-        right.append([Matrix.from_columns(rmat[i], rows=d_next) for i in range(g)])
+                acc: dict = {}
+                for s, v in rcols[i][b_tail].items():
+                    for t, x in lj[s].items():
+                        a = acc.get(t)
+                        acc[t] = v * x if a is None else a + v * x
+                next_rcols[i].append({t: x for t, x in acc.items() if x})
+
+        lcols, rcols = next_lcols, next_rcols
+        left.append([_from_sparse_columns(c, d_next) for c in lcols])
+        right.append([_from_sparse_columns(c, d_next) for c in rcols])
+        dims.append(d_next)
+        words.append(new_words)
 
     return GradedTable(p, max_degree, dims, words, left, right)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncquad
 from ncquad.cli import main, parse_quadratic_expression, resolve_z_spec
 from ncquad.exactlin import qq
 from ncquad.families import commutative_presentation, word_vector
@@ -91,8 +96,34 @@ def test_noncentral_z_exit_code(capsys):
 def test_parse_error_exit_code(capsys):
     code, _ = run(capsys, "smooth", COMM_FILE, "--z", "x0*x9")
     assert code == 2
+    code, _ = run(capsys, "smooth", COMM_FILE, "--z", "1/0*x0*x3")
+    assert code == 2
+    code, _ = run(capsys, "sklyanin", "--curve", "1/0,2", "--tau", "-4,6", "singular")
+    assert code == 2
     code, _ = run(capsys, "hilbert", "no-such-file.json")
     assert code == 2
+
+
+BAD_PRESENTATIONS = {
+    "unknown_generator": {"generators": ["x", "y"],
+                          "relations": [[{"coef": "1", "word": ["x", "z"]}]]},
+    "missing_relations": {"generators": ["x", "y"]},
+    "missing_generators": {"relations": []},
+    "zero_denominator": {"generators": ["x", "y"],
+                         "relations": [[{"coef": "1/0", "word": ["x", "y"]}]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
+def test_malformed_presentation_exit_code(tmp_path, case):
+    path = tmp_path / (case + ".json")
+    path.write_text(json.dumps(BAD_PRESENTATIONS[case]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "hilbert", str(path),
+                           "--degree", "3"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_k0_suite(capsys):

@@ -188,3 +188,5 @@ def test_poly_gcd():
 def test_qq_str():
     assert qq_str(qq("3/6")) == "1/2"
     assert qq_str(qq(-4, 2)) == "-2"
+    with pytest.raises(ValueError):
+        qq("1/0")

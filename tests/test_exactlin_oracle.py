@@ -1,0 +1,69 @@
+"""Differential tests of the exact elimination layer against sympy over QQ."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy import QQ as SQQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from ncquad.exactlin import Matrix, inverse, kernel_basis, qq, rank, rref  # noqa: E402
+
+ENTRY = st.builds(qq, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def grids(draw, square=False):
+    """Entry grids of any shape and density, with zero and duplicate rows mixed in."""
+    rows = draw(st.integers(1, 7) if square else st.integers(0, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    density = draw(st.integers(0, 4))  # each cell is drawn with odds density/4
+    grid = [[draw(ENTRY) if draw(st.integers(0, 3)) < density else qq(0)
+             for _ in range(cols)] for _ in range(rows)]
+    if rows:
+        index = st.integers(0, rows - 1)
+        for dst, src in draw(st.lists(st.tuples(index, index), max_size=3)):
+            grid[dst] = list(grid[src])
+        for dst in draw(st.lists(index, max_size=2)):
+            grid[dst] = [qq(0)] * cols
+    return rows, cols, grid
+
+
+def to_sympy(rows, cols, grid):
+    return DomainMatrix([[SQQ(x.numerator, x.denominator) for x in row] for row in grid],
+                        (rows, cols), SQQ)
+
+
+def from_sympy(dm):
+    return [[qq(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+def test_rref_and_kernel_match_sympy(case):
+    rows, cols, grid = case
+    m = Matrix(rows, cols, grid)
+    red, pivots = rref(m)
+    want, want_pivots = to_sympy(*case).rref()
+    assert pivots == list(want_pivots)
+    assert red.entries == from_sympy(want)
+    ker = kernel_basis(m)
+    assert ker.rows == cols
+    assert ker.cols == cols - len(want_pivots) == to_sympy(*case).nullspace().shape[0]
+    assert (m @ ker).is_zero()
+    assert rank(ker) == ker.cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(square=True))
+def test_inverse_matches_sympy(case):
+    n, _, grid = case
+    dm = to_sympy(*case)
+    if dm.rank() < n:
+        with pytest.raises(ValueError):
+            inverse(Matrix(n, n, grid))
+    else:
+        assert inverse(Matrix(n, n, grid)).entries == from_sympy(dm.inv())
