@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import (LaurentPoly, Matrix, RationalSeries, det, inverse,
+from .exactlin import (QQ, LaurentPoly, Matrix, RationalSeries, det, inverse,
                        kernel_basis, qq, qq_str, rank)
 from .findim import FinDimAlgebra, analyze
 from .qalg import (GradedTable, QuadraticPresentation, build_table,
@@ -286,6 +286,15 @@ class MFVerdict:
         return out
 
 
+def _is_factor(mat) -> bool:
+    """True for a list of rows whose entries are lists of rational coefficients."""
+    return isinstance(mat, list) and all(
+        isinstance(row, list) and all(
+            isinstance(entry, list) and all(isinstance(c, (int, str, QQ)) for c in entry)
+            for entry in row)
+        for row in mat)
+
+
 def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
                                 table: GradedTable | None = None) -> MFVerdict:
     """Check phi psi = psi phi = z * identity over the degree-2 component.
@@ -296,6 +305,8 @@ def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
     whose rational-function identity with s * H_A(t)/(1 + t) encodes the
     period-two syzygy behaviour of the cokernel.
     """
+    if not (_is_factor(phi) and _is_factor(psi)):
+        raise ValueError("factors must be lists of lists of coefficient lists")
     g = S.num_generators
     if table is None:
         table = build_table(S, 2)

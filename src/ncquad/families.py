@@ -100,14 +100,6 @@ def symmetric_form_to_element(q) -> list:
     return word_vector(n, terms)
 
 
-def element_to_symmetric_form(vec: list, g: int = 4) -> list:
-    """Symmetrized 4x4 matrix of a degree-2 word vector (commutative use)."""
-    if len(vec) != g * g:
-        raise ValueError("expected a degree-2 word vector")
-    return [[(qq(vec[i * g + j]) + qq(vec[j * g + i])) / 2 for j in range(g)]
-            for i in range(g)]
-
-
 HYPERBOLIC_FORM = ((0, 0, 0, qq(1, 2)),
                    (0, 0, qq(-1, 2), 0),
                    (0, qq(-1, 2), 0, 0),

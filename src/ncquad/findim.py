@@ -11,6 +11,7 @@ edge case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .exactlin import Matrix, SpanBuilder, det, inverse, kernel_basis, qq
 
@@ -20,7 +21,9 @@ class FinDimAlgebra:
 
     ``structure[i][j]`` holds the coordinates of basis_i * basis_j.  The
     constructor verifies that the identity is a two-sided unit and that
-    associativity holds on every basis triple, exactly.
+    associativity holds exactly on every basis triple.  The triples are
+    checked in integer arithmetic on the constants scaled by their common
+    denominator; ``structure`` itself keeps the rational constants.
     """
 
     __slots__ = ("labels", "structure", "unit")
@@ -69,23 +72,25 @@ class FinDimAlgebra:
             e = self.basis_vector(i)
             if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
                 raise ValueError("identity vector is not a two-sided unit")
-        st = self.structure
+        # Associativity is homogeneous of degree 2 in the constants, so
+        # scaling every constant by a common denominator d scales both sides
+        # of each triple by d^2: the integer identity is the rational one.
+        d = lcm(*{c.denominator for row in self.structure for vec in row for c in vec})
+        st = [[[(t, c.numerator * (d // c.denominator)) for t, c in enumerate(vec) if c]
+               for vec in row] for row in self.structure]
         for i in range(n):
+            sti = st[i]
             for j in range(n):
-                cij = st[i][j]
+                cij, stj = sti[j], st[j]
                 for k in range(n):
-                    left = [qq(0)] * n
-                    for v, c in enumerate(cij):
-                        if c:
-                            for t, s in enumerate(st[v][k]):
-                                if s:
-                                    left[t] += c * s
-                    right = [qq(0)] * n
-                    for v, c in enumerate(st[j][k]):
-                        if c:
-                            for t, s in enumerate(st[i][v]):
-                                if s:
-                                    right[t] += c * s
+                    left = [0] * n
+                    for v, c in cij:
+                        for t, s in st[v][k]:
+                            left[t] += c * s
+                    right = [0] * n
+                    for v, c in stj[k]:
+                        for t, s in sti[v]:
+                            right[t] += c * s
                     if left != right:
                         raise ValueError(
                             "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
@@ -144,8 +149,11 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
 
     Returns (quotient, project) where project maps coordinate vectors of
     the original algebra onto quotient coordinates.  The complement basis
-    is chosen deterministically from the standard basis.
+    is chosen deterministically from the standard basis, so the quotient by
+    the zero ideal is the algebra itself.
     """
+    if ideal.cols == 0:
+        return alg, list
     n = alg.dim
     span = SpanBuilder(n)
     for c in ideal.columns():
@@ -155,6 +163,8 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
         e = alg.basis_vector(j)
         if span.add(e):
             complement.append((j, e))
+    if not complement:
+        raise RuntimeError("quotient collapsed to zero; unital algebra expected")
     p_cols = ideal.columns() + [e for _, e in complement]
     basis_change = Matrix.from_columns(p_cols, rows=n)
     inv = inverse(basis_change)
@@ -168,12 +178,7 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
     structure = [[project(alg.multiply(e_i, e_j)) for _, e_j in complement]
                  for _, e_i in complement]
     unit = project(alg.unit)
-    quo = FinDimAlgebra(labels, structure, unit) if complement else _zero_algebra()
-    return quo, project
-
-
-def _zero_algebra() -> FinDimAlgebra:
-    raise RuntimeError("quotient collapsed to zero; unital algebra expected")
+    return FinDimAlgebra(labels, structure, unit), project
 
 
 def center_basis(alg: FinDimAlgebra) -> Matrix:

@@ -201,6 +201,17 @@ def test_mf_verify_commands(capsys):
     assert payload["ok"] is False and "witness" in payload
 
 
+@pytest.mark.parametrize("phi", ["[[1]]", "5", "[[[[1], 0, 0, 0]]]", "[[[null, 0, 0, 0]]]"])
+def test_mf_verify_malformed_factor_exit_code(phi):
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "mf-verify", COMM_FILE,
+                           "--z", "x0*x3-x1*x2", "--phi", phi, "--psi", phi],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_pencil_command(capsys):
     code, out = run(capsys, "pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1",
                     "--samples", "42", "--degree-bound", "16", "--json")

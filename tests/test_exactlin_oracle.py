@@ -10,7 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy import QQ as SQQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from ncquad.exactlin import Matrix, inverse, kernel_basis, qq, rank, rref  # noqa: E402
+from ncquad.exactlin import Matrix, det, inverse, kernel_basis, qq, rank, rref  # noqa: E402
 
 ENTRY = st.builds(qq, st.integers(-6, 6), st.integers(1, 4))
 
@@ -67,3 +67,11 @@ def test_inverse_matches_sympy(case):
             inverse(Matrix(n, n, grid))
     else:
         assert inverse(Matrix(n, n, grid)).entries == from_sympy(dm.inv())
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(square=True))
+def test_det_matches_sympy(case):
+    n, _, grid = case
+    want = to_sympy(*case).det()
+    assert det(Matrix(n, n, grid)) == qq(int(want.numerator), int(want.denominator))

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from ncquad.cliff import HypersurfaceData, clifford_algebra, even_clifford_oracle
-from ncquad.exactlin import qq
+from ncquad.exactlin import Matrix, qq
 from ncquad.families import HYPERBOLIC_FORM, commutative_presentation, word_vector
 from ncquad.findim import (AnalysisReport, FinDimAlgebra, analyze, center_basis,
                            commutator_ideal, one_dim_reps_absent,
@@ -51,6 +53,19 @@ def test_associativity_validation_rejects_bad_table():
     bad = [[[0, 1], z], [z, z]]
     with pytest.raises(ValueError):
         FinDimAlgebra(["a", "b"], bad, [1, 0])
+
+
+def test_associativity_validation_names_first_failing_triple():
+    # basis 1, a, b with a*b = 1/2 and b*b = (2/3) a: the unit axioms hold,
+    # and the first failure is (a*a)*b = 0 against a*(a*b) = a/2
+    z = [0, 0, 0]
+    structure = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], z, [qq(1, 2), 0, 0]],
+        [[0, 0, 1], z, [0, qq(2, 3), 0]],
+    ]
+    with pytest.raises(ValueError, match=re.escape("basis triple (1, 1, 2)")):
+        FinDimAlgebra(["1", "a", "b"], structure, [1, 0, 0])
 
 
 def test_unit_validation():
@@ -115,6 +130,16 @@ def test_center_of_quotient():
     assert quo.dim == 2
     assert center_basis(quo).cols == 2
     assert center_basis(alg).cols == 1
+
+
+def test_quotient_by_zero_ideal_is_the_algebra():
+    alg = even_clifford_oracle(Q4)
+    quo, project = quotient_by_subspace(alg, radical(alg))
+    assert quo is alg
+    v = [qq(k, 3) for k in range(8)]
+    assert project(v) == v
+    with pytest.raises(RuntimeError):
+        quotient_by_subspace(alg, Matrix.identity(8))
 
 
 def test_commutator_ideal_full_for_blocks():
