@@ -2,13 +2,16 @@
 
 Everything here is over the rationals in characteristic zero.  All values
 are immutable after construction and safe to share between threads.
-Matrices are stored densely; row reduction works on sparse rows and
-returns the reduced row echelon form, which is unique for the row space,
-so every basis chosen downstream is reproducible whatever order the rows
-arrive in.
+Matrices are stored densely; row reduction works on sparse integer rows
+(each row scaled by the lcm of its denominators, reduced fraction-free
+and kept primitive by content removal) and returns the reduced row
+echelon form over QQ, which is unique for the row space, so every basis
+chosen downstream is reproducible whatever order the rows arrive in.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -162,18 +165,26 @@ class Matrix:
                                        [[qq_str(x) for x in row] for row in self.entries])
 
 
-def _axpy(row: dict, a, other: dict) -> None:
-    """row += a * other on sparse rows, dropping entries that cancel."""
-    for j, x in other.items():
-        v = row.get(j)
-        if v is None:
-            row[j] = a * x
+def _cross_reduce(row: dict, c: int, piv: dict) -> dict:
+    """Primitive multiple of a*row - b*piv, which is zero at column c.
+
+    Both are integer rows and a/b is piv[c]/row[c] in lowest terms.  a is
+    positive when piv[c] is, so an entry of row at a column where piv is
+    zero keeps its sign.
+    """
+    p, f = piv[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = {j: a * x for j, x in row.items()}
+    for j, x in piv.items():
+        v = row.get(j, 0) - b * x
+        if v:
+            row[j] = v
         else:
-            v += a * x
-            if v:
-                row[j] = v
-            else:
-                del row[j]
+            del row[j]
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -181,38 +192,49 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
     The reduced row echelon form of a row space is unique, so the result
     does not depend on the order rows are reduced in.  Rows are kept as
-    {column: value} dicts and reduced by incremental Gauss-Jordan: an
-    incoming row is cleared at every pivot column it hits, a row that
-    reduces to zero is dropped, and otherwise its leftmost entry becomes
-    a new pivot, which is cleared from the pivot rows already held.
-    Idempotent on its own output.
+    {column: int} dicts and reduced by fraction-free incremental
+    Gauss-Jordan: each incoming row is scaled once by the lcm of its
+    denominators, then cleared at every pivot column it hits by
+    cross-multiplication with the held pivot row.  A row that reduces to
+    zero is dropped; otherwise its leftmost entry becomes a new pivot,
+    which is cleared from the rows already held.  Every held row is kept
+    primitive (its content divided out) with a positive pivot entry, a
+    multiple of a row of a partial RREF, so entry sizes stay bounded.
+    Only the final rows are divided by their pivot entries, so every
+    nonzero entry of the result is a QQ on either backend.  Idempotent on
+    its own output.
     """
     nc = m.cols
     held: dict[int, dict] = {}
     for dense in m.entries:
         # most zeros here are the shared ZERO; the identity test skips Fraction.__bool__
-        row = {j: x for j, x in enumerate(dense) if x is not ZERO and x}
-        # pivot rows are zero at every other pivot column, so each hit's
-        # multiplier can be read before any of them is cleared
-        for c, f in [(c, row[c]) for c in row if c in held]:
-            _axpy(row, -f, held[c])
+        nz = [(j, x) for j, x in enumerate(dense) if x is not ZERO and x]
+        d = lcm(*[x.denominator for _, x in nz])
+        row = {j: x.numerator * (d // x.denominator) for j, x in nz}
+        # pivot rows are zero at every other pivot column, so the set of
+        # pivots an incoming row hits is fixed before any is cleared
+        for c in [c for c in row if c in held]:
+            row = _cross_reduce(row, c, held[c])
         if not row:
             continue
         c = min(row)
-        inv = row[c]
-        if inv != 1:
-            row = {j: x / inv for j, x in row.items()}
-        for other in held.values():
-            f = other.get(c)
-            if f is not None:
-                _axpy(other, -f, row)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        for k, other in held.items():
+            if c in other:
+                held[k] = _cross_reduce(other, c, row)
         held[c] = row
     pivots = sorted(held)
     entries = []
     for c in pivots:
+        row = held[c]
+        p = row[c]
         dense = [ZERO] * nc
-        for j, x in held[c].items():
-            dense[j] = x
+        for j, x in row.items():
+            dense[j] = _mpq(x, p)
         entries.append(dense)
     entries.extend([ZERO] * nc for _ in range(m.rows - len(pivots)))
     return Matrix._of(m.rows, nc, entries), pivots

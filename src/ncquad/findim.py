@@ -210,6 +210,8 @@ def commutator_ideal(alg: FinDimAlgebra) -> SpanBuilder:
                 e = alg.basis_vector(i)
                 for w in (alg.multiply(e, v), alg.multiply(v, e)):
                     if span.add(w):
+                        if span.rank == n:
+                            return span
                         nxt.append(w)
         frontier = nxt
     return span
@@ -267,7 +269,7 @@ def analyze(alg: FinDimAlgebra) -> AnalysisReport:
     rad = radical(alg)
     quo, _ = quotient_by_subspace(alg, rad)
     center_dim = center_basis(alg).cols
-    ss_center_dim = center_basis(quo).cols
+    ss_center_dim = center_dim if quo is alg else center_basis(quo).cols
     absent = one_dim_reps_absent(alg, rad)
     ruling = None
     if alg.dim == 8 and absent and ss_center_dim in (1, 2):

@@ -232,3 +232,13 @@ def test_table_identity_through_degree_6(name):
     if name.endswith("_dual"):
         p = koszul_dual(p)
     assert table_digest(build_table(p, 6)) == TABLE_DIGESTS[name]
+
+
+def test_sklyanin_degree_7_table_identity():
+    # the 336x336 elimination of degree 7, digest recorded from the
+    # Fraction-row elimination that the integer-row one replaced
+    root = Path(__file__).resolve().parents[1]
+    p = QuadraticPresentation.load((root / "presentations" / "sklyanin_a.json").read_text())
+    table = build_table(p, 7)
+    assert table.dims == [1, 4, 10, 20, 35, 56, 84, 120]
+    assert table_digest(table) == "9c00a9ba211db9c7"
