@@ -18,7 +18,8 @@ from .cliff import (HypersurfaceData, HypothesisViolation, clifford_algebra,
 from .exactlin import qq, qq_str
 from .findim import analyze
 from .qalg import (QuadraticPresentation, build_table, central_quadratic_space,
-                   element_word_lift, hilbert, koszul_dual)
+                   element_word_lift, hilbert, koszul_dual,
+                   noncentral_generator)
 from .skly import Curve, PencilError, SecantLine, pencil_discriminant
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|[()+*-])")
@@ -246,13 +247,11 @@ def _cmd_smooth(args) -> int:
 
 
 def _require_central(table, lift):
-    z_class = word_vector_class(table, lift)
-    g = table.presentation.num_generators
-    for i in range(g):
-        if table.right[2][i].apply(z_class) != table.left[2][i].apply(z_class):
-            raise HypothesisViolation(
-                "centrality", "z does not commute with generator %s"
-                % table.presentation.generator_names[i])
+    i = noncentral_generator(table, word_vector_class(table, lift))
+    if i is not None:
+        raise HypothesisViolation(
+            "centrality", "z does not commute with generator %s"
+            % table.presentation.generator_names[i])
 
 
 def _cmd_pencil(args) -> int:
@@ -349,7 +348,7 @@ def _cmd_mf_verify(args) -> int:
     lift, table = resolve_z_spec(args.z, p)
     phi = _load_json_arg(args.phi)
     psi = _load_json_arg(args.psi)
-    verdict = verify_matrix_factorization(p, phi, psi, lift)
+    verdict = verify_matrix_factorization(p, phi, psi, lift, table=table)
     payload = verdict.to_dict()
     if verdict.ok:
         _emit(args, payload, [

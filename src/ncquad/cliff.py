@@ -4,9 +4,12 @@ Given S with the right Hilbert behaviour and a central degree-2 element
 z, the quotient A = S/(z) has a quadratic dual carrying a canonical
 central element w in degree 2: the one-dimensional kernel of the map
 from the degree-2 part of the dual of A onto the degree-2 part of the
-dual of S.  Inverting w and taking degree zero gives a finite
-dimensional algebra; concretely it lives on the degree-4 component of
-the dual of A, with products pulled back through multiplication by w^2.
+dual of S.  That degree-2 part is dual to the relation space of S, so
+the map is read off the relations directly: the word x_i* x_j* goes to
+the coefficients of x_i x_j in the relations.  Inverting w and taking
+degree zero gives a finite dimensional algebra; concretely it lives on
+the degree-4 component of the dual of A, with products pulled back
+through multiplication by w^2.
 
 A classical even Clifford construction over a diagonalized symmetric
 form serves as the independent oracle, and a matrix-factorization
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import (QQ, LaurentPoly, Matrix, RationalSeries, det, inverse,
-                       kernel_basis, qq, qq_str, rank)
+                       kernel_basis, qq, qq_str)
 from .findim import FinDimAlgebra, analyze
 from .qalg import (GradedTable, QuadraticPresentation, build_table,
                    evaluate_word, is_regular_central, koszul_dual, multiply)
@@ -42,27 +45,33 @@ class HypersurfaceData:
         z_lift = tuple(qq(c) for c in z_lift)
         if len(z_lift) != g * g:
             raise ValueError("lift must live in the degree-2 word space")
-        stacked = list(S.relations) + [z_lift]
-        if rank(Matrix.from_rows(stacked)) != len(stacked):
+        # S's names are valid and the length is checked, so dependence of the
+        # stacked relations is the only ValueError the constructor can raise
+        try:
+            self.A = QuadraticPresentation(S.generator_names, list(S.relations) + [z_lift])
+        except ValueError:
             raise HypothesisViolation(
-                "independence", "the degree-2 element lies in the relation span")
+                "independence", "the degree-2 element lies in the relation span") from None
         self.S = S
         self.z_lift = z_lift
-        self.A = QuadraticPresentation(S.generator_names, stacked)
 
 
 def dual_central_element(h: HypersurfaceData, degree: int = 8):
     """The dual-side central element w, plus the dual table of A.
 
     w spans the kernel of the degree-2 comparison map onto the dual of
-    S; it is verified central (degree-3 generator check) and regular
-    through the requested degree.  Any failure raises
-    HypothesisViolation naming the broken property.
+    S.  That target is dual to the relation space R_S, so the map sends
+    the word (i, j) to [r[i*g + j] for r in R_S]: the same null space as
+    in any basis of the dual of S, hence the same w at the same scale.
+    w is verified central (degree-3 generator check) and regular through
+    the requested degree.  Any failure raises HypothesisViolation naming
+    the broken property.
     """
     dual_a = build_table(koszul_dual(h.A), degree)
-    dual_s = build_table(koszul_dual(h.S), 2)
-    cols = [evaluate_word(dual_s, word) for word in dual_a.words[2]]
-    ker = kernel_basis(Matrix.from_columns(cols, rows=dual_s.dims[2]))
+    g = h.S.num_generators
+    words = dual_a.words[2]
+    ker = kernel_basis(Matrix.from_rows(
+        [[r[i * g + j] for i, j in words] for r in h.S.relations], cols=len(words)))
     if ker.cols != 1:
         raise HypothesisViolation(
             "kernel-dimension",

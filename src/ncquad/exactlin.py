@@ -2,9 +2,10 @@
 
 Everything here is over the rationals in characteristic zero.  All values
 are immutable after construction and safe to share between threads.
-Matrices are stored densely; row reduction works on sparse integer rows
-(each row scaled by the lcm of its denominators, reduced fraction-free
-and kept primitive by content removal) and returns the reduced row
+Matrices are stored densely.  Row reduction has one kernel, SpanBuilder,
+which works on sparse integer rows (each row scaled by the lcm of its
+denominators, reduced fraction-free and kept primitive by content
+removal); rref feeds a matrix through it and returns the reduced row
 echelon form over QQ, which is unique for the row space, so every basis
 chosen downstream is reproducible whatever order the rows arrive in.
 """
@@ -190,54 +191,17 @@ def _cross_reduce(row: dict, c: int, piv: dict) -> dict:
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns.
 
-    The reduced row echelon form of a row space is unique, so the result
-    does not depend on the order rows are reduced in.  Rows are kept as
-    {column: int} dicts and reduced by fraction-free incremental
-    Gauss-Jordan: each incoming row is scaled once by the lcm of its
-    denominators, then cleared at every pivot column it hits by
-    cross-multiplication with the held pivot row.  A row that reduces to
-    zero is dropped; otherwise its leftmost entry becomes a new pivot,
-    which is cleared from the rows already held.  Every held row is kept
-    primitive (its content divided out) with a positive pivot entry, a
-    multiple of a row of a partial RREF, so entry sizes stay bounded.
-    Only the final rows are divided by their pivot entries, so every
-    nonzero entry of the result is a QQ on either backend.  Idempotent on
-    its own output.
+    The rows are fed into one SpanBuilder, whose integer kernel is
+    described there; the reduced row echelon form of a row space is
+    unique, so the result does not depend on the order rows are reduced
+    in.  Idempotent on its own output.
     """
-    nc = m.cols
-    held: dict[int, dict] = {}
-    for dense in m.entries:
-        # most zeros here are the shared ZERO; the identity test skips Fraction.__bool__
-        nz = [(j, x) for j, x in enumerate(dense) if x is not ZERO and x]
-        d = lcm(*[x.denominator for _, x in nz])
-        row = {j: x.numerator * (d // x.denominator) for j, x in nz}
-        # pivot rows are zero at every other pivot column, so the set of
-        # pivots an incoming row hits is fixed before any is cleared
-        for c in [c for c in row if c in held]:
-            row = _cross_reduce(row, c, held[c])
-        if not row:
-            continue
-        c = min(row)
-        g = gcd(*row.values())
-        if row[c] < 0:
-            g = -g
-        if g != 1:
-            row = {j: x // g for j, x in row.items()}
-        for k, other in held.items():
-            if c in other:
-                held[k] = _cross_reduce(other, c, row)
-        held[c] = row
-    pivots = sorted(held)
-    entries = []
-    for c in pivots:
-        row = held[c]
-        p = row[c]
-        dense = [ZERO] * nc
-        for j, x in row.items():
-            dense[j] = _mpq(x, p)
-        entries.append(dense)
-    entries.extend([ZERO] * nc for _ in range(m.rows - len(pivots)))
-    return Matrix._of(m.rows, nc, entries), pivots
+    span = SpanBuilder(m.cols)
+    for row in m.entries:
+        span.add(row)
+    entries = span.basis
+    entries.extend([ZERO] * m.cols for _ in range(m.rows - len(entries)))
+    return Matrix._of(m.rows, m.cols, entries), sorted(span._held)
 
 
 def rank(m: Matrix) -> int:
@@ -297,47 +261,73 @@ def inverse(m: Matrix) -> Matrix:
 
 
 class SpanBuilder:
-    """Incremental row-space container for rank and membership queries."""
+    """Incremental row-space container for rank and membership queries.
+
+    Rows are kept as {column: int} dicts and reduced by fraction-free
+    incremental Gauss-Jordan: each incoming vector is scaled once by the
+    lcm of its denominators, then cleared at every pivot column it hits
+    by cross-multiplication with the held pivot row.  A vector that
+    reduces to zero lies in the span; otherwise its leftmost entry becomes
+    a new pivot, which is cleared from the rows already held.  Every held
+    row is kept primitive (its content divided out) with a positive pivot
+    entry, a multiple of a row of a partial RREF, so entry sizes stay
+    bounded.  Only ``basis`` divides the rows by their pivot entries, so
+    every nonzero entry it returns is a QQ on either backend.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[list] = []
-        self._pivots: list[int] = []
+        self._held: dict[int, dict] = {}
 
-    def _reduce(self, vec: list) -> list:
-        v = [qq(x) for x in vec]
-        for row, p in zip(self._rows, self._pivots):
-            f = v[p]
-            if f:
-                for j in range(p, self.dim):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v
+    def _reduce(self, vec: list) -> dict:
+        # most zeros here are the shared ZERO; the identity test skips Fraction.__bool__
+        nz = [(j, x) for j, x in enumerate(vec) if x is not ZERO and x]
+        d = lcm(*[x.denominator for _, x in nz])
+        row = {j: x.numerator * (d // x.denominator) for j, x in nz}
+        held = self._held
+        # pivot rows are zero at every other pivot column, so the set of
+        # pivots an incoming row hits is fixed before any is cleared
+        for c in [c for c in row if c in held]:
+            row = _cross_reduce(row, c, held[c])
+        return row
 
     def add(self, vec: list) -> bool:
         """Add a vector; returns True if it enlarged the span."""
-        v = self._reduce(vec)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
+        row = self._reduce(vec)
+        if not row:
             return False
-        piv = v[p]
-        if piv != 1:
-            v = [x / piv for x in v]
-        self._rows.append(v)
-        self._pivots.append(p)
+        c = min(row)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        held = self._held
+        for k, other in held.items():
+            if c in other:
+                held[k] = _cross_reduce(other, c, row)
+        held[c] = row
         return True
 
     def contains(self, vec: list) -> bool:
-        return all(not x for x in self._reduce(vec))
+        return not self._reduce(vec)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._held)
 
     @property
     def basis(self) -> list:
-        """Independent spanning vectors for the accumulated span."""
-        return [list(r) for r in self._rows]
+        """The reduced row echelon rows of the span, in pivot order."""
+        out = []
+        for c in sorted(self._held):
+            row = self._held[c]
+            p = row[c]
+            dense = [ZERO] * self.dim
+            for j, x in row.items():
+                dense[j] = _mpq(x, p)
+            out.append(dense)
+        return out
 
 
 class LaurentPoly:
@@ -581,22 +571,25 @@ def poly_gcd(p: list, q: list) -> list:
     """Monic greatest common divisor over the rationals."""
     a, b = poly_trim(p), poly_trim(q)
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     return poly_monic(a)
 
 
-def _poly_rem(a: list, b: list) -> list:
+def poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b over the rationals."""
     a = [qq(c) for c in poly_trim(a)]
     b = poly_trim(b)
     db = len(b) - 1
     lead = b[-1]
+    quo = [qq(0)] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
         f = a[-1] / lead
         shift = len(a) - 1 - db
+        quo[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a = poly_trim(a)
-    return a
+    return poly_trim(quo), a
 
 
 def poly_squarefree_degree(p: list) -> int:

@@ -119,7 +119,8 @@ def radical(alg: FinDimAlgebra) -> Matrix:
     return rad
 
 
-def _cross_verify_radical(alg: FinDimAlgebra, rad: Matrix):
+def _cross_verify_radical(alg: FinDimAlgebra, rad: Matrix) -> FinDimAlgebra:
+    """Check rad is a nilpotent two-sided ideal; return the semisimple quotient."""
     n = alg.dim
     rad_cols = rad.columns()
     span = SpanBuilder(n)
@@ -142,6 +143,7 @@ def _cross_verify_radical(alg: FinDimAlgebra, rad: Matrix):
     quo, _ = quotient_by_subspace(alg, rad)
     if quo.dim and det(trace_gram(quo)) == 0:
         raise RuntimeError("radical cross-check failed: quotient trace form degenerate")
+    return quo
 
 
 def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
@@ -266,8 +268,9 @@ def analyze(alg: FinDimAlgebra) -> AnalysisReport:
     representations: every geometric simple block is then a 2x2 matrix
     block over the closure and contributes exactly one central line.
     """
-    rad = radical(alg)
-    quo, _ = quotient_by_subspace(alg, rad)
+    # radical(alg), keeping the quotient its cross-check built and validated
+    rad = kernel_basis(trace_gram(alg))
+    quo = _cross_verify_radical(alg, rad)
     center_dim = center_basis(alg).cols
     ss_center_dim = center_dim if quo is alg else center_basis(quo).cols
     absent = one_dim_reps_absent(alg, rad)

@@ -352,6 +352,18 @@ class RegularityCertificate:
         return "not regular: %s kernel at degree %d" % (self.side, self.failure_degree)
 
 
+def noncentral_generator(table: GradedTable, z: list) -> int | None:
+    """First generator index i with z x_i != x_i z for z in A_2, or None.
+
+    None certifies that z is central, for the reason given in
+    central_quadratic_space; the table must reach degree 3.
+    """
+    for i in range(table.presentation.num_generators):
+        if table.right[2][i].apply(z) != table.left[2][i].apply(z):
+            return i
+    return None
+
+
 def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCertificate:
     """Check z in A_2 is central and multiplication by z is injective.
 
@@ -360,12 +372,9 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
     """
     if bound > table.max_degree:
         raise ValueError("bound exceeds table degree")
-    g = table.presentation.num_generators
-    for i in range(g):
-        lhs = table.right[2][i].apply(z)
-        rhs = table.left[2][i].apply(z)
-        if lhs != rhs:
-            return RegularityCertificate(False, False, bound, side=str(i))
+    i = noncentral_generator(table, z)
+    if i is not None:
+        return RegularityCertificate(False, False, bound, side=str(i))
     for n in range(0, bound - 1):
         d_n = table.dims[n]
         basis = Matrix.identity(d_n).columns()

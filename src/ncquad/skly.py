@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_from_dual,
                     clifford_with_scale, dual_central_element, word_vector_class)
-from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_eval,
-                       poly_gcd, poly_interpolate, poly_squarefree_degree,
-                       poly_trim, qq, qq_str)
+from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
+                       poly_eval, poly_gcd, poly_interpolate,
+                       poly_squarefree_degree, poly_trim, qq, qq_str)
 from .findim import analyze, trace_gram
-from .qalg import GradedTable, QuadraticPresentation, build_table
+from .qalg import (GradedTable, QuadraticPresentation, build_table,
+                   noncentral_generator)
 
 
 @dataclass(frozen=True)
@@ -263,14 +264,6 @@ class PencilReport:
         }
 
 
-def _check_central(table: GradedTable, z_class: list) -> bool:
-    g = table.presentation.num_generators
-    for i in range(g):
-        if table.right[2][i].apply(z_class) != table.left[2][i].apply(z_class):
-            return False
-    return True
-
-
 def _scan_sample(S: QuadraticPresentation, lift: list):
     """One pencil member: scale-invariant trace-form determinant sample."""
     h = HypersurfaceData(S, lift)
@@ -278,20 +271,6 @@ def _scan_sample(S: QuadraticPresentation, lift: list):
     value = det(trace_gram(alg)) * det_w2 * det_w2
     pattern = tuple(alg.labels)
     return value, pattern
-
-
-def _poly_divide_exact(a: list, b: list) -> list:
-    out = [qq(0)] * (len(a) - len(b) + 1)
-    a = [qq(c) for c in a]
-    lead = b[-1]
-    while poly_trim(a) and len(a) >= len(b):
-        f = a[-1] / lead
-        shift = len(a) - len(b)
-        out[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = poly_trim(a)
-    return poly_trim(out)
 
 
 def _rational_fit(points: list, dp: int, dq: int):
@@ -317,8 +296,8 @@ def _rational_fit(points: list, dp: int, dq: int):
         return None
     g = poly_gcd(p, q)
     if poly_degree(g) > 0:
-        p = _poly_divide_exact(p, g)
-        q = _poly_divide_exact(q, g)
+        p = poly_divmod(p, g)[0]
+        q = poly_divmod(q, g)[0]
     lead = q[-1]
     return [c / lead for c in p], [c / lead for c in q]
 
@@ -351,7 +330,7 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     if table is None:
         table = build_table(S, 3)
     for name, lift in (("omega1", omega1_lift), ("omega2", omega2_lift)):
-        if not _check_central(table, word_vector_class(table, lift)):
+        if noncentral_generator(table, word_vector_class(table, lift)) is not None:
             raise HypothesisViolation("centrality", "%s is not central" % name)
 
     raw = []

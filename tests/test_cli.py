@@ -88,9 +88,19 @@ def test_clifford_command(capsys):
     assert len(payload["structure"]) == 8
 
 
-def test_noncentral_z_exit_code(capsys):
-    code, _ = run(capsys, "smooth", SKLY_FILE, "--z", "x0*x0")
-    assert code == 1
+@pytest.mark.parametrize("argv, generator", [
+    (["smooth", SKLY_FILE, "--z", "x0*x0"], "generator x1"),
+    (["clifford", SKLY_FILE, "--z", "x0*x0"], "generator x1"),
+    (["pencil", SKLY_FILE, "--omega1", "x0*x0", "--omega2", "1"], ""),
+], ids=["smooth", "clifford", "pencil"])
+def test_noncentral_z_exit_code(argv, generator):
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "centrality hypothesis failed" in proc.stderr
+    assert generator in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_parse_error_exit_code(capsys):

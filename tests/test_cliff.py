@@ -6,12 +6,14 @@ from ncquad.cliff import (HypersurfaceData, HypothesisViolation,
                           congruent_diagonal, dual_central_element,
                           even_clifford_oracle, verify_matrix_factorization,
                           word_vector_class)
-from ncquad.exactlin import LaurentPoly, RationalSeries
+from ncquad.cli import resolve_z_spec
+from ncquad.exactlin import LaurentPoly, RationalSeries, qq
 from ncquad.families import (HYPERBOLIC_FORM, commutative_presentation,
                              sklyanin_gamma, sklyanin_presentation,
                              symmetric_form_to_element, word_vector)
 from ncquad.findim import analyze, radical
-from ncquad.qalg import build_table, central_quadratic_space, element_word_lift
+from ncquad.qalg import (QuadraticPresentation, build_table,
+                         central_quadratic_space, element_word_lift)
 
 COMM = commutative_presentation()
 SKLY = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
@@ -32,10 +34,25 @@ def test_hypersurface_rejects_dependent_lift():
         HypersurfaceData(COMM, comm_rel)
 
 
-def test_dual_central_element_hyperbolic():
-    w, table = dual_central_element(HypersurfaceData(COMM, HYPER))
-    assert len(w) == table.dims[2] == 7
-    assert any(c for c in w)
+# w and det(w^2 map) as the comparison through a basis of the dual of S gave
+# them; rescaling w by u multiplies det(w^2 map) by u^16, so a change of
+# scale shows there even where w itself is a unit vector
+@pytest.mark.parametrize("path, spec, w_want, det_want", [
+    ("presentations/comm4.json", ["x0*x3 - x1*x2"], [0, 0, 0, 1, 0, 1, 0], 1),
+    ("presentations/comm4.json", ["x0*x0"], [1, 0, 0, 0, 0, 0, 0], 1),
+    ("presentations/sklyanin_a.json", ["0"], [1, 0, 0, 0, 0, 0, 0], 1),
+    ("presentations/sklyanin_a.json", ["0", "1"], [1, 0, 0, 0, 0, 0, 0], 1),
+], ids=["comm4-hyperbolic", "comm4-rank-one", "sklyanin_a-z0", "sklyanin_a-lambda-1"])
+def test_dual_central_element_hyperbolic(path, spec, w_want, det_want):
+    p = QuadraticPresentation.load(open(path).read())
+    table = build_table(p, 3)
+    # the pencil member omega1 + 1 * omega2 when two specs are given
+    lifts = [resolve_z_spec(s, p, table)[0] for s in spec]
+    h = HypersurfaceData(p, [sum(c) for c in zip(*lifts)])
+    w, dual_a = dual_central_element(h)
+    assert len(w) == dual_a.dims[2] == 7
+    assert w == [qq(c) for c in w_want]
+    assert clifford_with_scale(h)[1] == det_want
 
 
 def test_dual_central_element_rank_one():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy import QQ as SQQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from ncquad.exactlin import QQ, Matrix, det, inverse, kernel_basis, qq, rank, rref  # noqa: E402
+from ncquad.exactlin import (QQ, Matrix, SpanBuilder, det, inverse,  # noqa: E402
+                             kernel_basis, qq, rank, rref)
 
 ENTRY = st.builds(qq, st.integers(-6, 6), st.integers(1, 4))
 # entries far beyond machine words, to exercise the growth of integer rows
@@ -122,3 +123,33 @@ def test_det_matches_sympy(case):
     n, _, grid = case
     want = to_sympy(*case).det()
     assert det(Matrix(n, n, grid)) == qq(int(want.numerator), int(want.denominator))
+
+
+def check_span_builder(case, outside):
+    rows, cols, grid = case
+    span = SpanBuilder(cols)
+    grew = [span.add(row) for row in grid]
+    assert sum(grew) == span.rank == to_sympy(*case).rank()
+    assert all(span.contains(row) for row in grid)
+    # outside the span exactly when stacking it raises the rank
+    stacked = (rows + 1, cols, grid + [outside])
+    assert span.contains(outside) == (to_sympy(*stacked).rank() == span.rank)
+    basis = span.basis
+    red_basis, pivots_basis = rref(Matrix(len(basis), cols, basis))
+    red, pivots = rref(Matrix(rows, cols, grid))
+    assert pivots_basis == pivots
+    assert red_basis.entries == red.entries[:len(pivots)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.data())
+def test_span_builder_matches_sympy(case, data):
+    outside = data.draw(st.lists(ENTRY, min_size=case[1], max_size=case[1]))
+    check_span_builder(case, outside)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_grids(), st.data())
+def test_span_builder_matches_sympy_on_wide_entries(case, data):
+    outside = data.draw(st.lists(WIDE_ENTRY, min_size=case[1], max_size=case[1]))
+    check_span_builder(case, outside)
