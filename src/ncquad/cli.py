@@ -255,6 +255,11 @@ def _require_central(table, lift):
 
 
 def _cmd_pencil(args) -> int:
+    if args.degree_bound < 0:
+        raise SpecError("--degree-bound must be nonnegative, got %d" % args.degree_bound)
+    if args.samples < args.degree_bound + 4:
+        raise SpecError("--samples must be at least degree bound + 4 = %d, got %d"
+                        % (args.degree_bound + 4, args.samples))
     p = _load_presentation(args.file)
     table = build_table(p, 3)
     lift1, _ = resolve_z_spec(args.omega1, p, table)

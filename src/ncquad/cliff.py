@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from .exactlin import (QQ, LaurentPoly, Matrix, RationalSeries, det, inverse,
                        kernel_basis, qq, qq_str)
 from .findim import FinDimAlgebra, analyze
-from .qalg import (GradedTable, QuadraticPresentation, build_table,
-                   evaluate_word, is_regular_central, koszul_dual, multiply)
+from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
+                   build_table, evaluate_word, is_regular_central, koszul_dual,
+                   multiply)
 
 
 class HypothesisViolation(Exception):
@@ -57,15 +58,16 @@ class HypersurfaceData:
 
 
 def dual_central_element(h: HypersurfaceData, degree: int = 8):
-    """The dual-side central element w, plus the dual table of A.
+    """The dual-side central element w, the dual table of A, and w's certificate.
 
     w spans the kernel of the degree-2 comparison map onto the dual of
     S.  That target is dual to the relation space R_S, so the map sends
     the word (i, j) to [r[i*g + j] for r in R_S]: the same null space as
     in any basis of the dual of S, hence the same w at the same scale.
     w is verified central (degree-3 generator check) and regular through
-    the requested degree.  Any failure raises HypothesisViolation naming
-    the broken property.
+    the requested degree; the returned RegularityCertificate carries the
+    matrices of right multiplication by w that the check built.  Any
+    failure raises HypothesisViolation naming the broken property.
     """
     dual_a = build_table(koszul_dual(h.A), degree)
     g = h.S.num_generators
@@ -82,7 +84,7 @@ def dual_central_element(h: HypersurfaceData, degree: int = 8):
         raise HypothesisViolation("centrality", "w is not central: " + cert.describe())
     if not cert.regular:
         raise HypothesisViolation("regularity", "w is not regular: " + cert.describe())
-    return w, dual_a
+    return w, dual_a, cert
 
 
 def clifford_with_scale(h: HypersurfaceData, degree: int = 8):
@@ -95,31 +97,36 @@ def clifford_with_scale(h: HypersurfaceData, degree: int = 8):
     """
     if degree < 8:
         raise ValueError("construction needs the dual table through degree 8")
-    w, dual_a = dual_central_element(h, degree)
-    return clifford_from_dual(dual_a, w)
+    w, dual_a, cert = dual_central_element(h, degree)
+    return clifford_from_dual(dual_a, w, cert)
 
 
-def clifford_from_dual(dual_a: GradedTable, w: list):
-    """Assemble the invariant algebra from a dual table and its w."""
+def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate):
+    """Assemble the invariant algebra from a dual table, its w and w's certificate.
+
+    Multiplication by w from degrees 4 and 6 is read off the certificate
+    of a check through degree 8.  When the dual maps repeat there, the
+    degree-6 matrix is the degree-4 one, so a single determinant serves
+    both; det(w^2 map) is the product of the two either way.
+    """
     dims = dual_a.dims
     if not (dims[4] == dims[6] == dims[8] == 8):
         raise HypothesisViolation(
             "stabilization",
             "dual dimensions at degrees (4, 6, 8) are %r, expected (8, 8, 8)"
             % ((dims[4], dims[6], dims[8]),))
-    basis4 = Matrix.identity(8).columns()
-    basis6 = Matrix.identity(8).columns()
-    w46 = Matrix.from_columns([multiply(dual_a, b, 4, w, 2) for b in basis4], rows=8)
-    w68 = Matrix.from_columns([multiply(dual_a, b, 6, w, 2) for b in basis6], rows=8)
-    if det(w46) == 0 or det(w68) == 0:
+    w46, w68 = cert.right_maps[4], cert.right_maps[6]
+    det46 = det(w46)
+    det68 = det46 if w68 is w46 else det(w68)
+    if det46 == 0 or det68 == 0:
         raise HypothesisViolation(
             "stabilization", "multiplication by w is not bijective between "
             "degrees 4, 6, 8 of the dual")
-    w2map = w68 @ w46
-    w2inv = inverse(w2map)
+    w2inv = inverse(w68 @ w46)
     unit = multiply(dual_a, w, 2, w, 2)
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in dual_a.words[4]]
+    basis4 = Matrix.identity(8).columns()
     structure = []
     for i in range(8):
         e_i = basis4[i]
@@ -129,7 +136,7 @@ def clifford_from_dual(dual_a: GradedTable, w: list):
             row.append(w2inv.apply(prod8))
         structure.append(row)
     alg = FinDimAlgebra(labels, structure, unit)
-    return alg, det(w2map)
+    return alg, det68 * det46
 
 
 def clifford_algebra(h: HypersurfaceData, degree: int = 8) -> FinDimAlgebra:

@@ -351,10 +351,6 @@ class LaurentPoly:
     def t(cls, k: int = 1) -> "LaurentPoly":
         return cls({k: 1})
 
-    @classmethod
-    def from_list(cls, coeffs, start: int = 0) -> "LaurentPoly":
-        return cls({start + i: c for i, c in enumerate(coeffs)})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -61,11 +61,6 @@ class FinDimAlgebra:
                             out[k] += c * s
         return out
 
-    def left_matrix(self, x: list) -> Matrix:
-        """Matrix of left multiplication by x on the basis."""
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols, rows=self.dim)
-
     def _validate(self):
         n = self.dim
         for i in range(n):

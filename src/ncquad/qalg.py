@@ -10,12 +10,18 @@ sparsely and reduced by exact elimination.  Normal-word bases are picked
 by deglex pivoting with a fixed generator order, so identical inputs
 always produce identical tables.  Words are tuples of generator indices;
 the degree-2 word space indexes the pair (i, j) at position i*g + j.
+
+The dual of a quadric S/(z) reaches a period-2 fixed point, as
+multiplication by its central regular w identifies degree n with degree
+n + 2.  Once a step's inputs repeat those of two steps back, the table
+shares maps instead of eliminating, and the regularity check reuses the
+repeated degrees.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactlin import ONE, ZERO, Matrix, kernel_basis, qq, qq_str, rank, rref
 
@@ -146,7 +152,9 @@ class GradedTable:
     degree n; every representative evaluates to its own basis vector.
     ``left[n][i]`` is multiplication by generator i on the left, a map
     from degree n to degree n+1, and ``right[n][i]`` the same on the
-    right.
+    right.  From degree ``period_start`` on (None when it never happens)
+    the maps repeat with period 2: ``left[n] is left[n - 2]`` and
+    ``right[n] is right[n - 2]``, the same Matrix objects.
     """
 
     presentation: QuadraticPresentation
@@ -155,6 +163,7 @@ class GradedTable:
     words: list[list[tuple[int, ...]]]
     left: list[list[Matrix]]
     right: list[list[Matrix]]
+    period_start: int | None = None
 
 
 def _from_sparse_columns(cols: list, rows: int) -> Matrix:
@@ -166,12 +175,23 @@ def _from_sparse_columns(cols: list, rows: int) -> Matrix:
 
 
 def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
-    """Construct the graded table of T(V)/(R) through the given degree."""
+    """Construct the graded table of T(V)/(R) through the given degree.
+
+    Step n builds degree n + 1 from exact index-level inputs: the two
+    previous dimensions, the deglex order, the (first letter, tail index)
+    shape of the degree-n words and the sparse generator maps out of
+    degree n - 1.  When these equal the inputs of step n - 2, so do the
+    outputs; the step then shares step n - 2's maps instead of
+    eliminating, and so does every later step, since its inputs are
+    then shared too.  Only the words are extended.
+    """
     if max_degree < 2:
         raise ValueError("degree bound must be at least 2")
     g = p.num_generators
     dims = [1, g]
     words: list[list[tuple[int, ...]]] = [[()], [(i,) for i in range(g)]]
+    # word b of degree n is (i,) + words[n - 1][t] for shapes[n][b] == (i, t)
+    shapes: list[list[tuple[int, int]]] = [[], [(i, 0) for i in range(g)]]
     # generator maps of the last degree as sparse columns {row: value}
     lcols = rcols = [[{i: ONE}] for i in range(g)]
     left = [[_from_sparse_columns(c, g) for c in lcols]]
@@ -179,6 +199,8 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     # each relation as, per first letter i, the (second letter, coefficient) terms
     rel_terms = [[[(j, rel[i * g + j]) for j in range(g) if rel[i * g + j]]
                   for i in range(g)] for rel in p.relations]
+    keys = [None, None]  # inputs of steps n - 2 and n - 1
+    period_start = None
 
     for n in range(1, max_degree):
         d_prev, d_n = dims[n - 1], dims[n]
@@ -186,6 +208,19 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
         coord_words = [(i,) + w for i in range(g) for w in words[n]]
         # deglex pivoting: eliminate lex-largest words first
         perm = sorted(range(m), key=coord_words.__getitem__, reverse=True)
+        key = (d_prev, d_n, perm, shapes[n], lcols, rcols)
+        if key == keys[0]:
+            if period_start is None:
+                period_start = n
+            # the inputs of step n - 1 are the outputs of step n - 2
+            lcols, rcols = keys[1][4], keys[1][5]
+            left.append(left[n - 2])
+            right.append(right[n - 2])
+            dims.append(dims[n - 1])
+            shapes.append(shapes[n - 1])
+            words.append([(i,) + words[n][t] for i, t in shapes[n - 1]])
+            keys = [keys[1], key]
+            continue
         inv_perm = [0] * m
         for k, orig in enumerate(perm):
             inv_perm[orig] = k
@@ -214,7 +249,7 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
         d_next = len(basis_positions)
         pos_to_basis = {k: idx for idx, k in enumerate(basis_positions)}
         pivot_rows = dict(zip(pivots, red.entries))
-        new_words = [coord_words[perm[k]] for k in basis_positions]
+        new_shape = [divmod(perm[k], d_n) for k in basis_positions]
 
         # left maps: reduce each unit coordinate modulo the image
         next_lcols = []
@@ -230,11 +265,9 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
             next_lcols.append(cols)
 
         # right maps, recursively: (x_j w') x_i = x_j (w' x_i)
-        word_idx_prev = {w: b for b, w in enumerate(words[n - 1])}
         next_rcols = [[] for _ in range(g)]
-        for w in words[n]:
-            lj = next_lcols[w[0]]
-            b_tail = word_idx_prev[w[1:]]
+        for j, b_tail in shapes[n]:
+            lj = next_lcols[j]
             for i in range(g):
                 acc: dict = {}
                 for s, v in rcols[i][b_tail].items():
@@ -243,13 +276,18 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
                         acc[t] = v * x if a is None else a + v * x
                 next_rcols[i].append({t: x for t, x in acc.items() if x})
 
+        # step n + 2 can match this step only if d_next == d_prev; otherwise
+        # the maps out of degree n - 1 are freed here, as without the keys
+        keys = [keys[1], key if d_next == d_prev else None]
+        del key
         lcols, rcols = next_lcols, next_rcols
         left.append([_from_sparse_columns(c, d_next) for c in lcols])
         right.append([_from_sparse_columns(c, d_next) for c in rcols])
         dims.append(d_next)
-        words.append(new_words)
+        shapes.append(new_shape)
+        words.append([coord_words[perm[k]] for k in basis_positions])
 
-    return GradedTable(p, max_degree, dims, words, left, right)
+    return GradedTable(p, max_degree, dims, words, left, right, period_start)
 
 
 def hilbert(table: GradedTable) -> list[int]:
@@ -331,7 +369,15 @@ def central_quadratic_space(table: GradedTable) -> Matrix:
 
 @dataclass
 class RegularityCertificate:
-    """Outcome of a centrality-plus-regularity check up to a degree."""
+    """Outcome of a centrality-plus-regularity check up to a degree.
+
+    ``repeated`` lists the degrees n whose check was skipped because the
+    generator maps out of degrees n and n + 1 equal those out of n - 2
+    and n - 1: multiplication by z on either side of degree n is then the
+    matrix of degree n - 2, already proved injective.  ``right_maps[n]``
+    is the matrix of b -> b z from degree n to n + 2, for every checked
+    n; a repeated degree holds the same object as n - 2.
+    """
 
     central: bool
     regular: bool
@@ -339,6 +385,8 @@ class RegularityCertificate:
     failure_degree: int | None = None
     witness: list | None = None
     side: str | None = None
+    repeated: list[int] = field(default_factory=list)
+    right_maps: list[Matrix] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -368,25 +416,37 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
     """Check z in A_2 is central and multiplication by z is injective.
 
     Injectivity of both z*(-) and (-)*z is verified on A_n -> A_{n+2}
-    for every n <= bound - 2.
+    for every n <= bound - 2.  z*(-) on A_n is a function of left[n],
+    left[n + 1] and z alone, and (-)*z of the right maps, so a degree
+    whose maps equal those two degrees back reuses that degree's
+    matrices and verdict; it is listed in the certificate's ``repeated``.
     """
     if bound > table.max_degree:
         raise ValueError("bound exceeds table degree")
     i = noncentral_generator(table, z)
     if i is not None:
         return RegularityCertificate(False, False, bound, side=str(i))
+    repeated = []
+    right_maps = []
     for n in range(0, bound - 1):
+        if (n >= 2 and table.left[n:n + 2] == table.left[n - 2:n]
+                and table.right[n:n + 2] == table.right[n - 2:n]):
+            repeated.append(n)
+            right_maps.append(right_maps[n - 2])
+            continue
         d_n = table.dims[n]
         basis = Matrix.identity(d_n).columns()
         for side, prod in (("left", lambda b: multiply(table, z, 2, b, n)),
                            ("right", lambda b: multiply(table, b, n, z, 2))):
-            cols = [prod(b) for b in basis]
-            ker = kernel_basis(Matrix.from_columns(cols, rows=table.dims[n + 2]))
+            zmap = Matrix.from_columns([prod(b) for b in basis], rows=table.dims[n + 2])
+            ker = kernel_basis(zmap)
             if ker.cols:
                 return RegularityCertificate(True, False, bound,
                                              failure_degree=n,
                                              witness=ker.column(0), side=side)
-    return RegularityCertificate(True, True, bound)
+        right_maps.append(zmap)  # the (-)*z matrix, checked last
+    return RegularityCertificate(True, True, bound, repeated=repeated,
+                                 right_maps=right_maps)
 
 
 def koszul_identity_check(p: QuadraticPresentation, bound: int) -> list:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliff import (HypersurfaceData, HypothesisViolation, clifford_from_dual,
-                    clifford_with_scale, dual_central_element, word_vector_class)
+from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
+                    word_vector_class)
 from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
                        poly_eval, poly_gcd, poly_interpolate,
                        poly_squarefree_degree, poly_trim, qq, qq_str)
@@ -325,6 +325,11 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     counted through the squarefree part; the member at infinity (omega2
     alone) is analyzed separately and merged into the count.
     """
+    samples = list(samples)
+    d = degree_bound
+    if len(samples) < d + 4:
+        raise PencilError(
+            "need at least degree_bound + 4 samples, have %d" % len(samples))
     omega1_lift = [qq(c) for c in omega1_lift]
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:
@@ -357,7 +362,6 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
             for lam, _ in pts:
                 skipped.append((lam, "normal-word basis pattern differs from majority"))
 
-    d = degree_bound
     if len(points) < d + 4:
         raise PencilError(
             "need at least degree_bound + 4 usable samples, have %d" % len(points))

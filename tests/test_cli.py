@@ -103,6 +103,18 @@ def test_noncentral_z_exit_code(argv, generator):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [["--samples", "10"], ["--degree-bound", "-2"]],
+                         ids=["too-few-samples", "negative-degree-bound"])
+def test_pencil_bad_flags_exit_code(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "pencil", SKLY_FILE,
+                           "--omega1", "0", "--omega2", "1"] + flags,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_parse_error_exit_code(capsys):
     code, _ = run(capsys, "smooth", COMM_FILE, "--z", "x0*x9")
     assert code == 2

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from ncquad import exactlin, qalg
 from ncquad.cliff import (HypersurfaceData, HypothesisViolation,
                           InvariantComparison, clifford_algebra,
                           clifford_with_scale, compare_invariants,
@@ -49,7 +52,7 @@ def test_dual_central_element_hyperbolic(path, spec, w_want, det_want):
     # the pencil member omega1 + 1 * omega2 when two specs are given
     lifts = [resolve_z_spec(s, p, table)[0] for s in spec]
     h = HypersurfaceData(p, [sum(c) for c in zip(*lifts)])
-    w, dual_a = dual_central_element(h)
+    w, dual_a, _ = dual_central_element(h)
     assert len(w) == dual_a.dims[2] == 7
     assert w == [qq(c) for c in w_want]
     assert clifford_with_scale(h)[1] == det_want
@@ -68,6 +71,37 @@ def test_dual_central_element_sklyanin():
     lift = element_word_lift(table, omega, 2)
     alg = clifford_algebra(HypersurfaceData(SKLY, lift))
     assert alg.dim == 8
+
+
+# multiply, rref and det calls for HypersurfaceData plus clifford_with_scale
+# on a sklyanin_a member; the full construction made 169, 26 and 3 on every
+# member.  Where the dual maps repeat, regularity skips degrees 5 and 6 and
+# the w maps come from its certificate; at lambda = 5/9 nothing repeats.
+@pytest.mark.parametrize("lam, most, rrefs", [
+    ("3", {"multiply": 121, "rref": 20, "det": 1}, None),
+    ("5/9", {}, 26),
+], ids=["lambda-3", "lambda-5/9"])
+def test_member_work_counts(monkeypatch, lam, most, rrefs):
+    S = QuadraticPresentation.load(open("presentations/sklyanin_a.json").read())
+    table = build_table(S, 3)
+    centre = central_quadratic_space(table)
+    w1, w2 = (element_word_lift(table, centre.column(k), 2) for k in (0, 1))
+    lift = [a + qq(lam) * b for a, b in zip(w1, w2)]
+    counts = dict.fromkeys(("multiply", "rref", "det"), 0)
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncquad")]
+    for name, home in (("multiply", qalg), ("rref", exactlin), ("det", exactlin)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    clifford_with_scale(HypersurfaceData(S, lift))
+    assert all(counts[k] <= v for k, v in most.items()), counts
+    if rrefs is not None:
+        assert counts["rref"] == rrefs, counts
 
 
 @pytest.mark.parametrize("lift", [HYPER, DIAG4, DIAG3, DIAG2])

@@ -7,7 +7,8 @@ import pytest
 
 from ncquad.exactlin import Matrix, qq, qq_str, rank, rref
 from ncquad.families import (commutative_presentation, free_presentation,
-                             sklyanin_gamma, sklyanin_presentation, word_vector)
+                             sklyanin_gamma, sklyanin_presentation,
+                             symmetric_form_to_element, word_vector)
 from ncquad.qalg import (DegreeOverflowError, QuadraticPresentation, build_table,
                          central_quadratic_space, element_word_lift,
                          evaluate_word, hilbert, is_regular_central,
@@ -242,3 +243,100 @@ def test_sklyanin_degree_7_table_identity():
     table = build_table(p, 7)
     assert table.dims == [1, 4, 10, 20, 35, 56, 84, 120]
     assert table_digest(table) == "9c00a9ba211db9c7"
+
+
+def _quadric_member(name):
+    """(S, lift of z) for the named member of a quadric pencil or form."""
+    root = Path(__file__).resolve().parents[1]
+    if name.startswith("sklyanin_a"):
+        S = QuadraticPresentation.load((root / "presentations" / "sklyanin_a.json").read_text())
+        t = build_table(S, 3)
+        centre = central_quadratic_space(t)
+        w1, w2 = (element_word_lift(t, centre.column(k), 2) for k in (0, 1))
+        lam = qq(name.split("=")[1])
+        return S, [a + lam * b for a, b in zip(w1, w2)]
+    S = QuadraticPresentation.load((root / "presentations" / "comm4.json").read_text())
+    if name == "comm4-hyperbolic":
+        return S, word_vector(4, {(0, 3): 1, (1, 2): -1})
+    return S, symmetric_form_to_element(
+        [[0, 12, -48, 28], [12, 21, -3, 6], [-48, -3, -12, 5], [28, 6, 5, -1]])
+
+
+def _dual_of_quotient(name):
+    S, lift = _quadric_member(name)
+    return koszul_dual(QuadraticPresentation(S.generator_names, list(S.relations) + [lift]))
+
+
+# Degree-8 tables of A^! for quadrics A = S/(z): digest recorded from the
+# full elimination of every degree, and the degree from which the maps
+# repeat with period 2.  The form's maps repeat only from its last step;
+# at lambda = 5/9, where the normal-word pattern changes, never.
+DUAL8 = {
+    "sklyanin_a:lambda=1": ("8ff69d01f575dc20", 6),
+    "sklyanin_a:lambda=3": ("69b11a6be4ee4197", 6),
+    "sklyanin_a:lambda=5/9": ("0c0c6eeffde04d27", None),
+    "comm4-hyperbolic": ("036a15d6aa4e0a01", 6),
+    "comm4-form": ("7d4ec207cf7d55f9", 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL8))
+def test_quadric_dual_table_identity_through_degree_8(name):
+    digest, period_start = DUAL8[name]
+    table = build_table(_dual_of_quotient(name), 8)
+    assert table.dims == [1, 4, 7, 8, 8, 8, 8, 8, 8]
+    assert table_digest(table) == digest
+    assert table.period_start == period_start
+    for n in range(period_start or 8, 8):
+        assert table.left[n] is table.left[n - 2]
+        assert table.right[n] is table.right[n - 2]
+
+
+def _z_matrix(table, z, n, side):
+    """Multiplication by z from degree n to n + 2 through the generator maps.
+
+    z x_i x_j b is left_i(left_j(b)) and b x_i x_j is right_j(right_i(b)),
+    independently of multiply's word-by-word evaluation.
+    """
+    rows, cols = table.dims[n + 2], table.dims[n]
+    acc = [[qq(0)] * cols for _ in range(rows)]
+    for c, (i, j) in zip(z, table.words[2]):
+        if not c:
+            continue
+        if side == "left":
+            prod = table.left[n + 1][i] @ table.left[n][j]
+        else:
+            prod = table.right[n + 1][j] @ table.right[n][i]
+        for r in range(rows):
+            for k in range(cols):
+                acc[r][k] += c * prod.entries[r][k]
+    return Matrix(rows, cols, acc)
+
+
+# degrees whose regularity check the certificate skips as repeats
+REPEATED = {
+    "sklyanin_a:lambda=1": [5, 6],
+    "sklyanin_a:lambda=3": [5, 6],
+    "sklyanin_a:lambda=5/9": [],
+    "comm4-hyperbolic": [5, 6],
+    "comm4-form": [6],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL8))
+def test_regularity_certificate_against_direct_z_maps(name):
+    from ncquad.cliff import HypersurfaceData, dual_central_element
+    w, table, cert = dual_central_element(HypersurfaceData(*_quadric_member(name)))
+    assert cert.ok and cert.checked_degree == 8
+    assert cert.repeated == REPEATED[name]
+    maps = {(n, side): _z_matrix(table, w, n, side)
+            for n in range(7) for side in ("left", "right")}
+    for n in range(7):
+        assert cert.right_maps[n] == maps[n, "right"]
+        for side in ("left", "right"):
+            assert rank(maps[n, side]) == table.dims[n]
+    for n in cert.repeated:
+        assert maps[n, "left"] == maps[n - 2, "left"]
+        assert maps[n, "right"] == maps[n - 2, "right"]
+        assert cert.right_maps[n] is cert.right_maps[n - 2]
+    assert (cert.right_maps[6] is cert.right_maps[4]) == (6 in cert.repeated)

@@ -1,5 +1,6 @@
 import pytest
 
+from ncquad import skly
 from ncquad.cliff import HypothesisViolation
 from ncquad.exactlin import qq
 from ncquad.families import (commutative_presentation, sklyanin_gamma,
@@ -192,6 +193,17 @@ def test_pencil_needs_enough_samples():
     q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
     with pytest.raises(PencilError):
         pencil_discriminant(comm, q1, q2, list(range(4)), 8)
+
+
+def test_pencil_short_sample_list_builds_no_member(monkeypatch):
+    def no_member(*args):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(skly, "_scan_sample", no_member)
+    comm = commutative_presentation()
+    q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
+    q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
+    with pytest.raises(PencilError):
+        pencil_discriminant(comm, q1, q2, list(range(10)), 16)
 
 
 def test_pencil_rejects_noncentral():
