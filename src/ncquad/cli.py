@@ -20,7 +20,8 @@ from .findim import analyze
 from .qalg import (QuadraticPresentation, build_table, central_quadratic_space,
                    element_word_lift, hilbert, koszul_dual,
                    noncentral_generator)
-from .skly import Curve, PencilError, SecantLine, pencil_discriminant
+from .skly import (Curve, PencilError, SecantLine, min_samples,
+                   pencil_discriminant)
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|[()+*-])")
 
@@ -257,9 +258,10 @@ def _require_central(table, lift):
 def _cmd_pencil(args) -> int:
     if args.degree_bound < 0:
         raise SpecError("--degree-bound must be nonnegative, got %d" % args.degree_bound)
-    if args.samples < args.degree_bound + 4:
-        raise SpecError("--samples must be at least degree bound + 4 = %d, got %d"
-                        % (args.degree_bound + 4, args.samples))
+    need = min_samples(args.degree_bound)
+    if args.samples < need:
+        raise SpecError("--samples must be at least %d at degree bound %d, got %d"
+                        % (need, args.degree_bound, args.samples))
     p = _load_presentation(args.file)
     table = build_table(p, 3)
     lift1, _ = resolve_z_spec(args.omega1, p, table)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import (QQ, LaurentPoly, Matrix, RationalSeries, det, inverse,
-                       kernel_basis, qq, qq_str)
-from .findim import FinDimAlgebra, analyze
+from .exactlin import (ONE_MINUS_T, QQ, LaurentPoly, Matrix, RationalSeries,
+                       det, inverse, kernel_basis, qq, qq_str)
+from .findim import FinDimAlgebra, analyze, commutator_ideal
 from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
                    build_table, evaluate_word, is_regular_central, koszul_dual,
                    multiply)
@@ -248,7 +248,6 @@ class InvariantComparison:
 
 def invariant_tuple(alg: FinDimAlgebra) -> tuple:
     """(dim, radical dim, center dim, ss-center dim, commutator-ideal codim)."""
-    from .findim import commutator_ideal
     report = analyze(alg)
     codim = alg.dim - commutator_ideal(alg).rank
     return (report.dim, report.radical_dim, report.center_dim,
@@ -351,9 +350,7 @@ def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
                 if acc != expected:
                     witness = MFWitness(name, i, j, acc, expected)
                     return MFVerdict(False, s, None, witness)
-    one_minus_t = LaurentPoly({0: 1, 1: -1})
-    series = RationalSeries(LaurentPoly.const(s),
-                            one_minus_t * one_minus_t * one_minus_t)
+    series = RationalSeries(LaurentPoly.const(s), ONE_MINUS_T * ONE_MINUS_T * ONE_MINUS_T)
     return MFVerdict(True, s, series, None)
 
 

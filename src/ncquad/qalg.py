@@ -178,12 +178,12 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     """Construct the graded table of T(V)/(R) through the given degree.
 
     Step n builds degree n + 1 from exact index-level inputs: the two
-    previous dimensions, the deglex order, the (first letter, tail index)
-    shape of the degree-n words and the sparse generator maps out of
-    degree n - 1.  When these equal the inputs of step n - 2, so do the
-    outputs; the step then shares step n - 2's maps instead of
-    eliminating, and so does every later step, since its inputs are
-    then shared too.  Only the words are extended.
+    previous dimensions, the (first letter, tail index) shape of the
+    degree-n words and the sparse generator maps out of degree n - 1.
+    When these equal the inputs of step n - 2, so do the outputs; the
+    step then shares step n - 2's maps instead of eliminating, and so
+    does every later step, since its inputs are then shared too.  Only
+    the words are extended.
     """
     if max_degree < 2:
         raise ValueError("degree bound must be at least 2")
@@ -205,15 +205,12 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     for n in range(1, max_degree):
         d_prev, d_n = dims[n - 1], dims[n]
         m = g * d_n
-        coord_words = [(i,) + w for i in range(g) for w in words[n]]
-        # deglex pivoting: eliminate lex-largest words first
-        perm = sorted(range(m), key=coord_words.__getitem__, reverse=True)
-        key = (d_prev, d_n, perm, shapes[n], lcols, rcols)
+        key = (d_prev, d_n, shapes[n], lcols, rcols)
         if key == keys[0]:
             if period_start is None:
                 period_start = n
             # the inputs of step n - 1 are the outputs of step n - 2
-            lcols, rcols = keys[1][4], keys[1][5]
+            lcols, rcols = keys[1][3], keys[1][4]
             left.append(left[n - 2])
             right.append(right[n - 2])
             dims.append(dims[n - 1])
@@ -221,10 +218,10 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
             words.append([(i,) + words[n][t] for i, t in shapes[n - 1]])
             keys = [keys[1], key]
             continue
-        inv_perm = [0] * m
-        for k, orig in enumerate(perm):
-            inv_perm[orig] = k
 
+        # words[n] ascends, so the word x_i words[n][t] of coordinate
+        # o = i * d_n + t ascends in o; deglex pivoting eliminates lex-largest
+        # words first, so pivoting column k holds coordinate m - 1 - k.
         # image of R (x) A_{n-1} inside V (x) A_n, in pivoting column order
         image_rows = []
         for terms in rel_terms:
@@ -234,7 +231,7 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
                     off = i * d_n
                     for j, c in ts:
                         for t, x in lcols[j][b].items():
-                            k = inv_perm[off + t]
+                            k = m - 1 - off - t
                             v = row.get(k)
                             row[k] = c * x if v is None else v + c * x
                 dense = [ZERO] * m
@@ -244,19 +241,19 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
 
         red, pivots = rref(Matrix._of(len(image_rows), m, image_rows))
         pivot_set = set(pivots)
-        # free positions, right to left: ascending word order
+        # free positions, right to left: words[n + 1] ascends as well
         basis_positions = [k for k in range(m - 1, -1, -1) if k not in pivot_set]
         d_next = len(basis_positions)
         pos_to_basis = {k: idx for idx, k in enumerate(basis_positions)}
         pivot_rows = dict(zip(pivots, red.entries))
-        new_shape = [divmod(perm[k], d_n) for k in basis_positions]
+        new_shape = [divmod(m - 1 - k, d_n) for k in basis_positions]
 
         # left maps: reduce each unit coordinate modulo the image
         next_lcols = []
         for i in range(g):
             cols = []
             for b in range(d_n):
-                k = inv_perm[i * d_n + b]
+                k = m - 1 - i * d_n - b
                 row = pivot_rows.get(k)
                 if row is None:
                     cols.append({pos_to_basis[k]: ONE})
@@ -285,7 +282,7 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
         right.append([_from_sparse_columns(c, d_next) for c in rcols])
         dims.append(d_next)
         shapes.append(new_shape)
-        words.append([coord_words[perm[k]] for k in basis_positions])
+        words.append([(i,) + words[n][t] for i, t in new_shape])
 
     return GradedTable(p, max_degree, dims, words, left, right, period_start)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     word_vector_class)
 from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
-                       poly_eval, poly_gcd, poly_interpolate,
-                       poly_squarefree_degree, poly_trim, qq, qq_str)
+                       poly_eval, poly_gcd, poly_squarefree_degree, poly_trim,
+                       qq, qq_str)
 from .findim import analyze, trace_gram
 from .qalg import (GradedTable, QuadraticPresentation, build_table,
                    noncentral_generator)
@@ -244,9 +244,9 @@ class PencilReport:
 
     sample_values: list          # (lambda, value) pairs actually used
     skipped: list                # (lambda, reason)
-    mode: str                    # "polynomial" or "rational"
+    mode: str                    # "polynomial" iff the denominator is [1], else "rational"
     numerator: list              # coefficients, ascending degree
-    denominator: list            # [1] in polynomial mode
+    denominator: list            # monic
     squarefree_degree: int
     infinity_singular: bool
     distinct_root_count: int
@@ -302,6 +302,11 @@ def _rational_fit(points: list, dp: int, dq: int):
     return [c / lead for c in p], [c / lead for c in q]
 
 
+def min_samples(degree_bound: int) -> int:
+    """Fewest usable samples a scan accepts: 2d + 2 to fit, 3 held out."""
+    return 2 * degree_bound + 5
+
+
 def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                         samples, degree_bound: int,
                         table: GradedTable | None = None) -> PencilReport:
@@ -314,22 +319,20 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     construction fails, or whose normal-word basis pattern differs from
     the majority, are skipped and recorded.
 
-    The values are first fit by a single polynomial of degree at most
-    degree_bound and checked against at least three held-out samples.
-    The basis pattern can make the exact sample values rational rather
-    than polynomial in t (their denominator tracks pattern degenerations
-    at points outside the sample set); when the polynomial fit fails,
-    the same samples are refit as a ratio of polynomials of degree at
-    most degree_bound, held out the same way, and the reduced numerator
-    carries the vanishing locus.  Distinct roots over the closure are
-    counted through the squarefree part; the member at infinity (omega2
-    alone) is analyzed separately and merged into the count.
+    The basis pattern can make the values rational rather than
+    polynomial in t (their denominator tracks pattern changes outside
+    the sample set).  So they are fit by one reduced ratio of
+    polynomials of degrees at most (d, d), d = degree_bound, through
+    the first 2d + 2 usable samples and checked on the rest, which must
+    number at least three: min_samples(d) = 2d + 5.  mode is
+    "polynomial" when the reduced denominator is 1, else "rational".
+    Distinct roots of the numerator over the closure are counted through
+    its squarefree part; the member at infinity (omega2 alone) is
+    analyzed separately and merged into the count.
     """
     samples = list(samples)
     d = degree_bound
-    if len(samples) < d + 4:
-        raise PencilError(
-            "need at least degree_bound + 4 samples, have %d" % len(samples))
+    need = min_samples(d)
     omega1_lift = [qq(c) for c in omega1_lift]
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:
@@ -337,6 +340,9 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     for name, lift in (("omega1", omega1_lift), ("omega2", omega2_lift)):
         if noncentral_generator(table, word_vector_class(table, lift)) is not None:
             raise HypothesisViolation("centrality", "%s is not central" % name)
+    if len(samples) < need:
+        raise PencilError("need at least %d samples at degree bound %d, have %d"
+                          % (need, d, len(samples)))
 
     raw = []
     skipped = []
@@ -362,39 +368,19 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
             for lam, _ in pts:
                 skipped.append((lam, "normal-word basis pattern differs from majority"))
 
-    if len(points) < d + 4:
+    if len(points) < need:
+        raise PencilError("need at least %d usable samples at degree bound %d, have %d"
+                          % (need, d, len(points)))
+
+    fit = _rational_fit(points[:2 * d + 2], d, d)
+    if fit is None or not all(poly_eval(fit[0], x) == v * poly_eval(fit[1], x)
+                              for x, v in points[2 * d + 2:]):
         raise PencilError(
-            "need at least degree_bound + 4 usable samples, have %d" % len(points))
-
-    # primary path: one polynomial through the first d + 1 samples
-    mode = None
-    numerator = denominator = None
-    fit_pts, holdout = points[:d + 1], points[d + 1:]
-    poly = poly_interpolate([x for x, _ in fit_pts], [v for _, v in fit_pts])
-    if all(poly_eval(poly, x) == v for x, v in holdout):
-        mode = "polynomial"
-        numerator, denominator = (poly if poly else [qq(0)]), [qq(1)]
-    else:
-        need = 2 * d + 5
-        if len(points) < need:
-            raise PencilError(
-                "polynomial interpolation inconsistent (degree bound too small or "
-                "denominators vary); a rational refit needs %d usable samples, have %d"
-                % (need, len(points)))
-        fit_pts, holdout = points[:2 * d + 2], points[2 * d + 2:]
-        fit = _rational_fit(fit_pts, d, d)
-        if fit is not None:
-            p, q = fit
-            if all(poly_eval(p, x) == v * poly_eval(q, x) for x, v in holdout):
-                mode = "rational"
-                numerator, denominator = p, q
-        if mode is None:
-            raise PencilError(
-                "interpolation inconsistent at degree bound %d (raise the bound "
-                "or change the sample set)" % d)
-
-    numerator = poly_trim(numerator) or [qq(0)]
-    if poly_degree(numerator) < 0 or (poly_degree(numerator) == 0 and numerator[0] == 0):
+            "interpolation inconsistent at degree bound %d (raise the bound "
+            "or change the sample set)" % d)
+    numerator, denominator = fit
+    mode = "polynomial" if denominator == [1] else "rational"
+    if not numerator:
         raise PencilError("trace-form determinant vanishes identically on the pencil")
 
     sq_degree = poly_squarefree_degree(numerator)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,8 +104,10 @@ def test_noncentral_z_exit_code(argv, generator):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("flags", [["--samples", "10"], ["--degree-bound", "-2"]],
-                         ids=["too-few-samples", "negative-degree-bound"])
+@pytest.mark.parametrize("flags", [["--samples", "10"], ["--degree-bound", "-2"],
+                                   ["--samples", "36"]],
+                         ids=["too-few-samples", "negative-degree-bound",
+                              "one-below-fit-bound"])
 def test_pencil_bad_flags_exit_code(flags):
     env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "pencil", SKLY_FILE,
@@ -240,7 +243,11 @@ def test_pencil_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["distinct_root_count"] == 4
-    assert payload["mode"] in ("polynomial", "rational")
+    assert payload["mode"] == "rational"
+    # the majority normal-word pattern changes at 5/9: denominator (lam - 5/9)^16
+    root = qq(5, 9)
+    assert [qq(c) for c in payload["denominator"]] == [
+        math.comb(16, k) * (-root) ** (16 - k) for k in range(17)]
 
 
 def test_human_output_lines(capsys):

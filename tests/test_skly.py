@@ -181,6 +181,7 @@ def test_degenerate_pencil_constant():
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
     report = pencil_discriminant(comm, q1, q1, list(range(-2, 15)), 3)
     assert report.mode == "polynomial"
+    assert report.denominator == [1]
     assert report.squarefree_degree == 0
     assert report.distinct_root_count == 0
     # z vanishes at -1; that sample must be skipped with a reason
@@ -204,6 +205,18 @@ def test_pencil_short_sample_list_builds_no_member(monkeypatch):
     q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
     with pytest.raises(PencilError):
         pencil_discriminant(comm, q1, q2, list(range(10)), 16)
+
+
+def test_pencil_needs_two_d_plus_five_samples(monkeypatch):
+    # the one fit has degrees up to (d, d): d + 4 = 7 samples at d = 3 prove
+    # nothing, and the scan refuses 8 < 2d + 5 before building a member
+    def no_member(*args):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(skly, "_scan_sample", no_member)
+    comm = commutative_presentation()
+    q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
+    with pytest.raises(PencilError):
+        pencil_discriminant(comm, q1, q1, list(range(8)), 3)
 
 
 def test_pencil_rejects_noncentral():
