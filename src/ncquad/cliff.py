@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import (ONE_MINUS_T, QQ, LaurentPoly, Matrix, RationalSeries,
+from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries,
                        det, inverse, kernel_basis, qq, qq_str)
 from .findim import FinDimAlgebra, analyze, commutator_ideal
 from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
@@ -107,7 +107,8 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
     Multiplication by w from degrees 4 and 6 is read off the certificate
     of a check through degree 8.  When the dual maps repeat there, the
     degree-6 matrix is the degree-4 one, so a single determinant serves
-    both; det(w^2 map) is the product of the two either way.
+    both; det(w^2 map) is the product of the two either way.  Basis
+    element i times (-) is the chain of left maps along i's word.
     """
     dims = dual_a.dims
     if not (dims[4] == dims[6] == dims[8] == 8):
@@ -123,19 +124,12 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
             "stabilization", "multiplication by w is not bijective between "
             "degrees 4, 6, 8 of the dual")
     w2inv = inverse(w68 @ w46)
-    unit = multiply(dual_a, w, 2, w, 2)
+    left = dual_a.left
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in dual_a.words[4]]
-    basis4 = Matrix.identity(8).columns()
-    structure = []
-    for i in range(8):
-        e_i = basis4[i]
-        row = []
-        for j in range(8):
-            prod8 = multiply(dual_a, e_i, 4, basis4[j], 4)
-            row.append(w2inv.apply(prod8))
-        structure.append(row)
-    alg = FinDimAlgebra(labels, structure, unit)
+    structure = [(w2inv @ left[7][u0] @ left[6][u1] @ left[5][u2] @ left[4][u3]).columns()
+                 for u0, u1, u2, u3 in dual_a.words[4]]
+    alg = FinDimAlgebra(labels, structure, multiply(dual_a, w, 2, w, 2))
     return alg, det68 * det46
 
 
@@ -302,11 +296,9 @@ class MFVerdict:
 
 
 def _is_factor(mat) -> bool:
-    """True for a list of rows whose entries are lists of rational coefficients."""
+    """True for a list of rows whose entries are lists (of coefficients, which qq checks)."""
     return isinstance(mat, list) and all(
-        isinstance(row, list) and all(
-            isinstance(entry, list) and all(isinstance(c, (int, str, QQ)) for c in entry)
-            for entry in row)
+        isinstance(row, list) and all(isinstance(entry, list) for entry in row)
         for row in mat)
 
 

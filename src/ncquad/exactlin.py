@@ -12,18 +12,22 @@ chosen downstream is reproducible whatever order the rows arrive in.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as _mpq
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
+    _mpq = Fraction
 
 QQ = _mpq
 
 
 def qq(value, den=None):
-    """Coerce ints, 'p/q' strings, or rationals to an exact rational."""
+    """Coerce ints, 'p/q' strings, or rationals to an exact rational.
+
+    Anything else, floats and bools included, raises ValueError.
+    """
     if den is not None:
         return _mpq(value, den)
     if isinstance(value, str):
@@ -35,6 +39,8 @@ def qq(value, den=None):
                 raise ValueError("zero denominator in %r" % value)
             return _mpq(int(p), q)
         return _mpq(int(value))
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, QQ)):
+        raise ValueError("%r is not an exact rational" % (value,))
     return _mpq(value)
 
 
@@ -47,7 +53,7 @@ def qq_str(value) -> str:
 
 
 def _as_scalar(x):
-    return x if isinstance(x, QQ) else _mpq(x)
+    return x if isinstance(x, QQ) else qq(x)
 
 
 ZERO = _mpq(0)

@@ -86,13 +86,8 @@ def _mat_sub(m, n):
 
 _ID = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
 
-
-# at^-1 = a + l + l' + p, lt^-1 = l + p, l't^-1 = l' + p, pt^-1 = p;
-# lattice_init checks it against _T
-_T_INV = ((1, 0, 0, 0),
-          (1, 1, 0, 0),
-          (1, 0, 1, 0),
-          (1, 1, 1, 1))
+# T - I, nilpotent of index 3 (lattice_init checks it), so act_t has a closed form
+_N = _mat_sub(_T, _ID)
 
 
 @dataclass(frozen=True)
@@ -106,23 +101,24 @@ class K0Lattice:
 def lattice_init() -> K0Lattice:
     """Construct the lattice and sanity-check its defining invariants."""
     lat = K0Lattice(_T, _G)
-    if _mat_mul(_T, _T_INV) != _ID:
-        raise AssertionError("shift action must be invertible with inverse _T_INV")
-    n = _mat_sub(_ID, _T)
-    n2 = _mat_mul(n, n)
-    n3 = _mat_mul(n2, n)
+    n2 = _mat_mul(_N, _N)
+    n3 = _mat_mul(n2, _N)
     if any(any(row) for row in n3) or not any(any(row) for row in n2):
         raise AssertionError("(1 - t) must be nilpotent of index exactly 3")
     return lat
 
 
 def act_t(x: K0Class, k: int = 1) -> K0Class:
-    """Apply the shift class action t^k; k may be negative."""
-    m = _T if k >= 0 else _T_INV
+    """Apply the shift class action t^k; k may be negative.
+
+    T^k = I + k N + k(k-1)/2 N^2 for every integer k, as N^3 = 0.
+    """
+    k = int(k)
     v = x.coeffs
-    for _ in range(abs(int(k))):
-        v = _mat_vec(m, v)
-    return K0Class(v)
+    nv = _mat_vec(_N, v)
+    n2v = _mat_vec(_N, nv)
+    c = k * (k - 1) // 2
+    return K0Class(tuple(a + k * b + c * e for a, b, e in zip(v, nv, n2v)))
 
 
 def euler(x: K0Class, y: K0Class) -> int:

@@ -14,8 +14,8 @@ the degree-2 word space indexes the pair (i, j) at position i*g + j.
 The dual of a quadric S/(z) reaches a period-2 fixed point, as
 multiplication by its central regular w identifies degree n with degree
 n + 2.  Once a step's inputs repeat those of two steps back, the table
-shares maps instead of eliminating, and the regularity check reuses the
-repeated degrees.
+shares maps instead of eliminating, and the regularity check reuses
+the shared degrees; its one z-map per degree serves both sides.
 """
 
 from __future__ import annotations
@@ -137,10 +137,7 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     no sign twist; dim R + dim R_perp = g^2 always holds.
     """
     g = p.num_generators
-    if not p.relations:
-        cols = Matrix.identity(g * g).columns()
-    else:
-        cols = kernel_basis(Matrix.from_rows(p.relations)).columns()
+    cols = kernel_basis(Matrix.from_rows(p.relations, cols=g * g)).columns()
     return QuadraticPresentation(p.generator_names, cols)
 
 
@@ -368,12 +365,11 @@ def central_quadratic_space(table: GradedTable) -> Matrix:
 class RegularityCertificate:
     """Outcome of a centrality-plus-regularity check up to a degree.
 
-    ``repeated`` lists the degrees n whose check was skipped because the
-    generator maps out of degrees n and n + 1 equal those out of n - 2
-    and n - 1: multiplication by z on either side of degree n is then the
+    ``repeated`` lists the degrees n >= max(2, period_start - 1), whose
+    check was skipped: multiplication by z out of degree n is then the
     matrix of degree n - 2, already proved injective.  ``right_maps[n]``
-    is the matrix of b -> b z from degree n to n + 2, for every checked
-    n; a repeated degree holds the same object as n - 2.
+    is the matrix of b -> z b = b z from degree n to n + 2, for every
+    checked n; a repeated degree holds the same object as n - 2.
     """
 
     central: bool
@@ -412,37 +408,34 @@ def noncentral_generator(table: GradedTable, z: list) -> int | None:
 def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCertificate:
     """Check z in A_2 is central and multiplication by z is injective.
 
-    Injectivity of both z*(-) and (-)*z is verified on A_n -> A_{n+2}
-    for every n <= bound - 2.  z*(-) on A_n is a function of left[n],
-    left[n + 1] and z alone, and (-)*z of the right maps, so a degree
-    whose maps equal those two degrees back reuses that degree's
-    matrices and verdict; it is listed in the certificate's ``repeated``.
+    Centrality is checked on the generators; A being generated in degree
+    one, a central z has z*(-) = (-)*z, so one matrix A_n -> A_{n+2} is
+    checked per degree n <= bound - 2.  Degrees from max(2,
+    period_start - 1) on share their generator maps with n - 2 and reuse
+    its matrix and verdict; they are listed in ``repeated``.
     """
     if bound > table.max_degree:
         raise ValueError("bound exceeds table degree")
     i = noncentral_generator(table, z)
     if i is not None:
         return RegularityCertificate(False, False, bound, side=str(i))
-    repeated = []
+    p = table.period_start
+    first_repeat = bound if p is None else max(2, p - 1)
     right_maps = []
     for n in range(0, bound - 1):
-        if (n >= 2 and table.left[n:n + 2] == table.left[n - 2:n]
-                and table.right[n:n + 2] == table.right[n - 2:n]):
-            repeated.append(n)
+        if n >= first_repeat:
             right_maps.append(right_maps[n - 2])
             continue
-        d_n = table.dims[n]
-        basis = Matrix.identity(d_n).columns()
-        for side, prod in (("left", lambda b: multiply(table, z, 2, b, n)),
-                           ("right", lambda b: multiply(table, b, n, z, 2))):
-            zmap = Matrix.from_columns([prod(b) for b in basis], rows=table.dims[n + 2])
-            ker = kernel_basis(zmap)
-            if ker.cols:
-                return RegularityCertificate(True, False, bound,
-                                             failure_degree=n,
-                                             witness=ker.column(0), side=side)
-        right_maps.append(zmap)  # the (-)*z matrix, checked last
-    return RegularityCertificate(True, True, bound, repeated=repeated,
+        basis = Matrix.identity(table.dims[n]).columns()
+        zmap = Matrix.from_columns([multiply(table, z, 2, b, n) for b in basis],
+                                   rows=table.dims[n + 2])
+        ker = kernel_basis(zmap)
+        if ker.cols:
+            return RegularityCertificate(True, False, bound, failure_degree=n,
+                                         witness=ker.column(0), side="left")
+        right_maps.append(zmap)
+    return RegularityCertificate(True, True, bound,
+                                 repeated=list(range(first_repeat, bound - 1)),
                                  right_maps=right_maps)
 
 

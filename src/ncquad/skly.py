@@ -324,13 +324,15 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     the sample set).  So they are fit by one reduced ratio of
     polynomials of degrees at most (d, d), d = degree_bound, through
     the first 2d + 2 usable samples and checked on the rest, which must
-    number at least three: min_samples(d) = 2d + 5.  mode is
-    "polynomial" when the reduced denominator is 1, else "rational".
+    number at least three: min_samples(d) = 2d + 5.  A repeated value
+    would leave the fit underdetermined, so the samples must be distinct
+    as rationals.  mode is "polynomial" when the reduced denominator is
+    1, else "rational".
     Distinct roots of the numerator over the closure are counted through
     its squarefree part; the member at infinity (omega2 alone) is
     analyzed separately and merged into the count.
     """
-    samples = list(samples)
+    samples = [qq(lam) for lam in samples]
     d = degree_bound
     need = min_samples(d)
     omega1_lift = [qq(c) for c in omega1_lift]
@@ -340,6 +342,8 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     for name, lift in (("omega1", omega1_lift), ("omega2", omega2_lift)):
         if noncentral_generator(table, word_vector_class(table, lift)) is not None:
             raise HypothesisViolation("centrality", "%s is not central" % name)
+    if len(set(samples)) != len(samples):
+        raise PencilError("sample values must be distinct rationals")
     if len(samples) < need:
         raise PencilError("need at least %d samples at degree bound %d, have %d"
                           % (need, d, len(samples)))
@@ -347,7 +351,6 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     raw = []
     skipped = []
     for lam in samples:
-        lam = qq(lam)
         lift = [a + lam * b for a, b in zip(omega1_lift, omega2_lift)]
         try:
             value, pattern = _scan_sample(S, lift)

@@ -13,8 +13,9 @@ from ncquad.exactlin import qq
 from ncquad.families import commutative_presentation, word_vector
 from ncquad.qalg import QuadraticPresentation
 
-COMM_FILE = "presentations/comm4.json"
-SKLY_FILE = "presentations/sklyanin_a.json"
+ROOT = Path(__file__).resolve().parents[1]
+COMM_FILE = str(ROOT / "presentations/comm4.json")
+SKLY_FILE = str(ROOT / "presentations/sklyanin_a.json")
 
 
 def run(capsys, *argv):
@@ -136,6 +137,10 @@ BAD_PRESENTATIONS = {
     "missing_generators": {"relations": []},
     "zero_denominator": {"generators": ["x", "y"],
                          "relations": [[{"coef": "1/0", "word": ["x", "y"]}]]},
+    "float_coefficient": {"generators": ["x", "y"],
+                          "relations": [[{"coef": 0.5, "word": ["x", "y"]}]]},
+    "bool_coefficient": {"generators": ["x", "y"],
+                         "relations": [[{"coef": True, "word": ["x", "y"]}]]},
 }
 
 

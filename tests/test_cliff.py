@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from ncquad.findim import analyze, radical
 from ncquad.qalg import (QuadraticPresentation, build_table,
                          central_quadratic_space, element_word_lift)
 
+ROOT = Path(__file__).resolve().parents[1]
 COMM = commutative_presentation()
 SKLY = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
 
@@ -41,13 +43,13 @@ def test_hypersurface_rejects_dependent_lift():
 # them; rescaling w by u multiplies det(w^2 map) by u^16, so a change of
 # scale shows there even where w itself is a unit vector
 @pytest.mark.parametrize("path, spec, w_want, det_want", [
-    ("presentations/comm4.json", ["x0*x3 - x1*x2"], [0, 0, 0, 1, 0, 1, 0], 1),
-    ("presentations/comm4.json", ["x0*x0"], [1, 0, 0, 0, 0, 0, 0], 1),
-    ("presentations/sklyanin_a.json", ["0"], [1, 0, 0, 0, 0, 0, 0], 1),
-    ("presentations/sklyanin_a.json", ["0", "1"], [1, 0, 0, 0, 0, 0, 0], 1),
+    ("comm4.json", ["x0*x3 - x1*x2"], [0, 0, 0, 1, 0, 1, 0], 1),
+    ("comm4.json", ["x0*x0"], [1, 0, 0, 0, 0, 0, 0], 1),
+    ("sklyanin_a.json", ["0"], [1, 0, 0, 0, 0, 0, 0], 1),
+    ("sklyanin_a.json", ["0", "1"], [1, 0, 0, 0, 0, 0, 0], 1),
 ], ids=["comm4-hyperbolic", "comm4-rank-one", "sklyanin_a-z0", "sklyanin_a-lambda-1"])
 def test_dual_central_element_hyperbolic(path, spec, w_want, det_want):
-    p = QuadraticPresentation.load(open(path).read())
+    p = QuadraticPresentation.load((ROOT / "presentations" / path).read_text())
     table = build_table(p, 3)
     # the pencil member omega1 + 1 * omega2 when two specs are given
     lifts = [resolve_z_spec(s, p, table)[0] for s in spec]
@@ -74,15 +76,16 @@ def test_dual_central_element_sklyanin():
 
 
 # multiply, rref and det calls for HypersurfaceData plus clifford_with_scale
-# on a sklyanin_a member; the full construction made 169, 26 and 3 on every
-# member.  Where the dual maps repeat, regularity skips degrees 5 and 6 and
-# the w maps come from its certificate; at lambda = 5/9 nothing repeats.
-@pytest.mark.parametrize("lam, most, rrefs", [
-    ("3", {"multiply": 121, "rref": 20, "det": 1}, None),
-    ("5/9", {}, 26),
+# on a sklyanin_a member.  Regularity builds one z-map per degree and skips
+# degrees 5 and 6, where the dual maps repeat (at lambda = 5/9 nothing
+# repeats); the w maps come from its certificate, and C(A) calls multiply
+# once, for its unit.
+@pytest.mark.parametrize("lam, want", [
+    ("3", {"multiply": 29, "rref": 15, "det": 1}),
+    ("5/9", {"multiply": 45, "rref": 19, "det": 2}),
 ], ids=["lambda-3", "lambda-5/9"])
-def test_member_work_counts(monkeypatch, lam, most, rrefs):
-    S = QuadraticPresentation.load(open("presentations/sklyanin_a.json").read())
+def test_member_work_counts(monkeypatch, lam, want):
+    S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
     table = build_table(S, 3)
     centre = central_quadratic_space(table)
     w1, w2 = (element_word_lift(table, centre.column(k), 2) for k in (0, 1))
@@ -99,9 +102,7 @@ def test_member_work_counts(monkeypatch, lam, most, rrefs):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     clifford_with_scale(HypersurfaceData(S, lift))
-    assert all(counts[k] <= v for k, v in most.items()), counts
-    if rrefs is not None:
-        assert counts["rref"] == rrefs, counts
+    assert counts == want
 
 
 @pytest.mark.parametrize("lift", [HYPER, DIAG4, DIAG3, DIAG2])

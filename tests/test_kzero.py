@@ -47,6 +47,16 @@ def test_t_action_square():
     assert act_t(act_t(A, 2), -2) == A
 
 
+def test_t_action_power_matches_iteration():
+    for x in BASIS:
+        for step in (1, -1):
+            y = x
+            for k in range(13):
+                assert act_t(x, step * k) == y
+                assert act_t(y, -step * k) == x
+                y = act_t(y, step)
+
+
 def test_h_class_and_intersections():
     h = h_class()
     assert h == L + act_t(LP) == LP + act_t(L)
@@ -71,6 +81,8 @@ def test_fat_classes():
         assert intersect(f, f) == -2
     for i in range(6):
         assert euler(fat_class(i), fat_class(i)) == 2
+    # the closed-form action makes a huge index as cheap as a small one
+    assert fat_class(10 ** 9) == L - LP + (10 ** 9 + 1) * P
     with pytest.raises(ValueError):
         fat_class(-1)
 

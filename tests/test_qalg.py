@@ -129,6 +129,16 @@ def test_zero_is_not_regular():
     assert cert.failure_degree == 0
 
 
+def test_non_regular_certificate():
+    # x0^2 is central in comm4 / (x0 x1), and x0^2 x1 = 0 in degree 3
+    p = QuadraticPresentation(COMM.generator_names,
+                              list(COMM.relations) + [word_vector(4, {(0, 1): 1})])
+    t = build_table(p, 4)
+    cert = is_regular_central(t, evaluate_word(t, (0, 0)), 4)
+    assert cert.central and not cert.regular
+    assert (cert.failure_degree, cert.side, cert.witness) == (1, "left", unit(4, 1))
+
+
 def test_sklyanin_central_element_regular():
     table = build_table(SKLY, 6)
     omega = central_quadratic_space(table).column(0)
@@ -332,7 +342,8 @@ def test_regularity_certificate_against_direct_z_maps(name):
     maps = {(n, side): _z_matrix(table, w, n, side)
             for n in range(7) for side in ("left", "right")}
     for n in range(7):
-        assert cert.right_maps[n] == maps[n, "right"]
+        # z is central, so the one z-map the check builds serves both sides
+        assert cert.right_maps[n] == maps[n, "right"] == maps[n, "left"]
         for side in ("left", "right"):
             assert rank(maps[n, side]) == table.dims[n]
     for n in cert.repeated:

@@ -219,6 +219,22 @@ def test_pencil_needs_two_d_plus_five_samples(monkeypatch):
         pencil_discriminant(comm, q1, q1, list(range(8)), 3)
 
 
+def test_pencil_rejects_repeated_samples(monkeypatch):
+    # 18 samples pass the count 2d + 5 = 13, but only 6 values are distinct,
+    # and a fit through repeated values is underdetermined; values compare
+    # as rationals, so "12/1" repeats 12
+    def no_member(*args):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(skly, "_scan_sample", no_member)
+    comm = commutative_presentation()
+    q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
+    q2 = word_vector(4, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (3, 3): 5})
+    with pytest.raises(PencilError):
+        pencil_discriminant(comm, q1, q2, list(range(1, 7)) * 3, 4)
+    with pytest.raises(PencilError):
+        pencil_discriminant(comm, q1, q2, list(range(13)) + ["12/1"], 4)
+
+
 def test_pencil_rejects_noncentral():
     skly = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
     not_central = word_vector(4, {(0, 0): 1})
