@@ -14,12 +14,11 @@ import sys
 
 from . import kzero
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_algebra,
-                    verify_matrix_factorization, word_vector_class)
+                    require_central, verify_matrix_factorization)
 from .exactlin import qq, qq_str
 from .findim import analyze
 from .qalg import (QuadraticPresentation, build_table, central_quadratic_space,
-                   element_word_lift, hilbert, koszul_dual,
-                   noncentral_generator)
+                   element_word_lift, hilbert, koszul_dual)
 from .skly import (Curve, PencilError, SecantLine, min_samples,
                    pencil_discriminant)
 
@@ -215,7 +214,7 @@ def _cmd_center(args) -> int:
 def _cmd_clifford(args) -> int:
     p = _load_presentation(args.file)
     lift, table = resolve_z_spec(args.z, p)
-    _require_central(table, lift)
+    require_central(table, lift, "z")
     alg = clifford_algebra(HypersurfaceData(p, lift), degree=max(args.degree, 8))
     report = analyze(alg)
     payload = {
@@ -238,21 +237,13 @@ def _cmd_clifford(args) -> int:
 def _cmd_smooth(args) -> int:
     p = _load_presentation(args.file)
     lift, table = resolve_z_spec(args.z, p)
-    _require_central(table, lift)
+    require_central(table, lift, "z")
     report = analyze(clifford_algebra(HypersurfaceData(p, lift)))
     d = report.to_dict()
     _emit(args, d, ["%s: %s" % (k, d[k]) for k in
                     ("dim", "radical_dim", "center_dim", "ss_center_dim",
                      "one_dim_reps_absent", "ruling_count", "smooth")])
     return 0
-
-
-def _require_central(table, lift):
-    i = noncentral_generator(table, word_vector_class(table, lift))
-    if i is not None:
-        raise HypothesisViolation(
-            "centrality", "z does not commute with generator %s"
-            % table.presentation.generator_names[i])
 
 
 def _cmd_pencil(args) -> int:

@@ -25,7 +25,7 @@ from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries,
 from .findim import FinDimAlgebra, analyze, commutator_ideal
 from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
                    build_table, evaluate_word, is_regular_central, koszul_dual,
-                   multiply)
+                   multiply, noncentral_generator)
 
 
 class HypothesisViolation(Exception):
@@ -90,7 +90,9 @@ def dual_central_element(h: HypersurfaceData, degree: int = 8):
 def clifford_with_scale(h: HypersurfaceData, degree: int = 8):
     """Clifford-type algebra together with det of the w^2 pullback map.
 
-    The determinant tracks the only non-canonical choice in the
+    The w^2 map is multiplication by w^2 from degree 4 to degree 8 of
+    the dual, the one matrix C(A)'s products are pulled back through.
+    Its determinant tracks the only non-canonical choice in the
     construction (the scale of w): rescaling w by u multiplies the
     returned determinant by u^16 and the trace-form determinant of the
     algebra by u^-32, so det(gram) * det(w^2 map)^2 is scale-free.
@@ -104,11 +106,12 @@ def clifford_with_scale(h: HypersurfaceData, degree: int = 8):
 def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate):
     """Assemble the invariant algebra from a dual table, its w and w's certificate.
 
-    Multiplication by w from degrees 4 and 6 is read off the certificate
-    of a check through degree 8.  When the dual maps repeat there, the
-    degree-6 matrix is the degree-4 one, so a single determinant serves
-    both; det(w^2 map) is the product of the two either way.  Basis
-    element i times (-) is the chain of left maps along i's word.
+    The w^2 map from degree 4 to degree 8 is the product of the
+    certificate's multiplications by w out of degrees 4 and 6, which a
+    check through degree 8 has proved injective, so it is invertible.
+    Basis element i times (-) is w2^-1 times the chain of left maps
+    along i's word; words sharing a prefix share its product, grouped
+    left to right.  Returns the algebra and det(w2).
     """
     dims = dual_a.dims
     if not (dims[4] == dims[6] == dims[8] == 8):
@@ -116,21 +119,19 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
             "stabilization",
             "dual dimensions at degrees (4, 6, 8) are %r, expected (8, 8, 8)"
             % ((dims[4], dims[6], dims[8]),))
-    w46, w68 = cert.right_maps[4], cert.right_maps[6]
-    det46 = det(w46)
-    det68 = det46 if w68 is w46 else det(w68)
-    if det46 == 0 or det68 == 0:
-        raise HypothesisViolation(
-            "stabilization", "multiplication by w is not bijective between "
-            "degrees 4, 6, 8 of the dual")
-    w2inv = inverse(w68 @ w46)
+    w2 = cert.right_maps[6] @ cert.right_maps[4]
     left = dual_a.left
+    words = dual_a.words[4]
+    chains = {(): inverse(w2)}
+    for word in words:
+        for k, u in enumerate(word):
+            if word[:k + 1] not in chains:
+                chains[word[:k + 1]] = chains[word[:k]] @ left[7 - k][u]
     names = dual_a.presentation.generator_names
-    labels = [".".join(names[i] for i in word) for word in dual_a.words[4]]
-    structure = [(w2inv @ left[7][u0] @ left[6][u1] @ left[5][u2] @ left[4][u3]).columns()
-                 for u0, u1, u2, u3 in dual_a.words[4]]
+    labels = [".".join(names[i] for i in word) for word in words]
+    structure = [chains[word].columns() for word in words]
     alg = FinDimAlgebra(labels, structure, multiply(dual_a, w, 2, w, 2))
-    return alg, det68 * det46
+    return alg, det(w2)
 
 
 def clifford_algebra(h: HypersurfaceData, degree: int = 8) -> FinDimAlgebra:
@@ -361,3 +362,16 @@ def word_vector_class(table: GradedTable, vec) -> list:
                 if x:
                     out[t] += qq(c) * x
     return out
+
+
+def require_central(table: GradedTable, lift, name: str):
+    """Raise HypothesisViolation unless the degree-2 word vector lift is central.
+
+    The check is on the generators (noncentral_generator); the message
+    names the first generator the class of lift does not commute with.
+    """
+    i = noncentral_generator(table, word_vector_class(table, lift))
+    if i is not None:
+        raise HypothesisViolation(
+            "centrality", "%s does not commute with generator %s"
+            % (name, table.presentation.generator_names[i]))

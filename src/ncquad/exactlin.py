@@ -26,10 +26,13 @@ QQ = _mpq
 def qq(value, den=None):
     """Coerce ints, 'p/q' strings, or rationals to an exact rational.
 
-    Anything else, floats and bools included, raises ValueError.
+    A value that is already a QQ is returned unchanged, as the same
+    object.  Anything else, floats and bools included, raises ValueError.
     """
     if den is not None:
         return _mpq(value, den)
+    if isinstance(value, QQ):
+        return value
     if isinstance(value, str):
         value = value.strip()
         if "/" in value:
@@ -39,7 +42,7 @@ def qq(value, den=None):
                 raise ValueError("zero denominator in %r" % value)
             return _mpq(int(p), q)
         return _mpq(int(value))
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, QQ)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError("%r is not an exact rational" % (value,))
     return _mpq(value)
 
@@ -50,10 +53,6 @@ def qq_str(value) -> str:
     if v.denominator == 1:
         return str(v.numerator)
     return "%d/%d" % (v.numerator, v.denominator)
-
-
-def _as_scalar(x):
-    return x if isinstance(x, QQ) else qq(x)
 
 
 ZERO = _mpq(0)
@@ -67,7 +66,7 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, entries):
         # entries are coerced exactly; plain ints would hit float division
-        entries = [[_as_scalar(x) for x in row] for row in entries]
+        entries = [[qq(x) for x in row] for row in entries]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match %dx%d" % (rows, cols))
         self.rows = rows
@@ -122,7 +121,7 @@ class Matrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        out = [qq(0)] * self.rows
+        out = [ZERO] * self.rows
         for j, vj in enumerate(vec):
             if vj:
                 for i in range(self.rows):
@@ -232,13 +231,13 @@ def det(m: Matrix):
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
-    a = [[qq(x) for x in row] for row in m.entries]
+    a = [row[:] for row in m.entries]
     sign = 1
-    d = qq(1)
+    d = ONE
     for c in range(n):
         pr = next((i for i in range(c, n) if a[i][c]), None)
         if pr is None:
-            return qq(0)
+            return ZERO
         if pr != c:
             a[c], a[pr] = a[pr], a[c]
             sign = -sign
@@ -249,7 +248,7 @@ def det(m: Matrix):
                 f = a[i][c] / piv
                 for j in range(c + 1, n):
                     a[i][j] -= f * a[c][j]
-                a[i][c] = qq(0)
+                a[i][c] = ZERO
     return d * sign
 
 

@@ -31,12 +31,11 @@ class FinDimAlgebra:
     def __init__(self, labels, structure, unit):
         self.labels = tuple(str(x) for x in labels)
         n = len(self.labels)
-        self.structure = [[[qq(c) for c in structure[i][j]] for j in range(n)]
-                          for i in range(n)]
-        self.unit = [qq(c) for c in unit]
-        if len(self.unit) != n or any(len(self.structure[i][j]) != n
-                                      for i in range(n) for j in range(n)):
+        if len(unit) != n or len(structure) != n or any(
+                len(row) != n or any(len(vec) != n for vec in row) for row in structure):
             raise ValueError("structure constant shape mismatch")
+        self.structure = [[[qq(c) for c in vec] for vec in row] for row in structure]
+        self.unit = [qq(c) for c in unit]
         self._validate()
 
     @property

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
-                    word_vector_class)
+                    require_central)
 from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
                        poly_eval, poly_gcd, poly_squarefree_degree, poly_trim,
                        qq, qq_str)
 from .findim import analyze, trace_gram
-from .qalg import (GradedTable, QuadraticPresentation, build_table,
-                   noncentral_generator)
+from .qalg import GradedTable, QuadraticPresentation, build_table
 
 
 @dataclass(frozen=True)
@@ -339,17 +338,16 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:
         table = build_table(S, 3)
-    for name, lift in (("omega1", omega1_lift), ("omega2", omega2_lift)):
-        if noncentral_generator(table, word_vector_class(table, lift)) is not None:
-            raise HypothesisViolation("centrality", "%s is not central" % name)
+    require_central(table, omega1_lift, "omega1")
+    require_central(table, omega2_lift, "omega2")
     if len(set(samples)) != len(samples):
         raise PencilError("sample values must be distinct rationals")
     if len(samples) < need:
         raise PencilError("need at least %d samples at degree bound %d, have %d"
                           % (need, d, len(samples)))
 
-    raw = []
     skipped = []
+    patterns: dict = {}
     for lam in samples:
         lift = [a + lam * b for a, b in zip(omega1_lift, omega2_lift)]
         try:
@@ -357,19 +355,14 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         except HypothesisViolation as exc:
             skipped.append((lam, str(exc)))
             continue
-        raw.append((lam, value, pattern))
-
-    patterns: dict = {}
-    for lam, value, pattern in raw:
         patterns.setdefault(pattern, []).append((lam, value))
     if not patterns:
         raise PencilError("no sample admitted the construction")
     main_pattern = max(patterns, key=lambda k: len(patterns[k]))
-    points = patterns[main_pattern]
-    for pattern, pts in patterns.items():
-        if pattern is not main_pattern:
-            for lam, _ in pts:
-                skipped.append((lam, "normal-word basis pattern differs from majority"))
+    points = patterns.pop(main_pattern)
+    for pts in patterns.values():
+        for lam, _ in pts:
+            skipped.append((lam, "normal-word basis pattern differs from majority"))
 
     if len(points) < need:
         raise PencilError("need at least %d usable samples at degree bound %d, have %d"

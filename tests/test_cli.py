@@ -93,7 +93,7 @@ def test_clifford_command(capsys):
 @pytest.mark.parametrize("argv, generator", [
     (["smooth", SKLY_FILE, "--z", "x0*x0"], "generator x1"),
     (["clifford", SKLY_FILE, "--z", "x0*x0"], "generator x1"),
-    (["pencil", SKLY_FILE, "--omega1", "x0*x0", "--omega2", "1"], ""),
+    (["pencil", SKLY_FILE, "--omega1", "x0*x0", "--omega2", "1"], "generator x1"),
 ], ids=["smooth", "clifford", "pencil"])
 def test_noncentral_z_exit_code(argv, generator):
     env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))

@@ -75,14 +75,16 @@ def test_dual_central_element_sklyanin():
     assert alg.dim == 8
 
 
-# multiply, rref and det calls for HypersurfaceData plus clifford_with_scale
-# on a sklyanin_a member.  Regularity builds one z-map per degree and skips
-# degrees 5 and 6, where the dual maps repeat (at lambda = 5/9 nothing
-# repeats); the w maps come from its certificate, and C(A) calls multiply
-# once, for its unit.
+# multiply, rref, det and Matrix @ calls for HypersurfaceData plus
+# clifford_with_scale on a sklyanin_a member.  Regularity builds one z-map
+# per degree and skips degrees 5 and 6, where the dual maps repeat (at
+# lambda = 5/9 nothing repeats); the w maps come from its certificate, and
+# C(A) calls multiply once, for its unit.  One @ forms the w^2 map and one
+# more extends each distinct prefix of the degree-4 words: 14 prefixes at
+# lambda = 3, 15 at lambda = 5/9.
 @pytest.mark.parametrize("lam, want", [
-    ("3", {"multiply": 29, "rref": 15, "det": 1}),
-    ("5/9", {"multiply": 45, "rref": 19, "det": 2}),
+    ("3", {"multiply": 29, "rref": 15, "det": 1, "@": 15}),
+    ("5/9", {"multiply": 45, "rref": 19, "det": 1, "@": 16}),
 ], ids=["lambda-3", "lambda-5/9"])
 def test_member_work_counts(monkeypatch, lam, want):
     S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
@@ -90,17 +92,21 @@ def test_member_work_counts(monkeypatch, lam, want):
     centre = central_quadratic_space(table)
     w1, w2 = (element_word_lift(table, centre.column(k), 2) for k in (0, 1))
     lift = [a + qq(lam) * b for a, b in zip(w1, w2)]
-    counts = dict.fromkeys(("multiply", "rref", "det"), 0)
+    counts = dict.fromkeys(want, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
     modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncquad")]
     for name, home in (("multiply", qalg), ("rref", exactlin), ("det", exactlin)):
         original = getattr(home, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
         for mod in modules:
             if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+                monkeypatch.setattr(mod, name, counting(name, original))
+    monkeypatch.setattr(exactlin.Matrix, "__matmul__",
+                        counting("@", exactlin.Matrix.__matmul__))
     clifford_with_scale(HypersurfaceData(S, lift))
     assert counts == want
 

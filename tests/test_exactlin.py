@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -190,3 +191,12 @@ def test_qq_str():
     assert qq_str(qq(-4, 2)) == "-2"
     with pytest.raises(ValueError):
         qq("1/0")
+
+
+def test_qq_keeps_exact_values_and_rejects_inexact_ones():
+    x = qq(3, 7)
+    assert qq(x) is x
+    assert qq(Fraction(-2, 6)) == qq(-1, 3)
+    for bad in (0.5, 1.0, True, False, "1/0", None):
+        with pytest.raises(ValueError):
+            qq(bad)

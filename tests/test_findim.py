@@ -68,6 +68,18 @@ def test_associativity_validation_names_first_failing_triple():
         FinDimAlgebra(["1", "a", "b"], structure, [1, 0, 0])
 
 
+@pytest.mark.parametrize("structure, unit", [
+    ([[[1, 0]]], [1, 0]),
+    ([[[1, 0], [0, 1]], [[0, 1]]], [1, 0]),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0, 0]),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0, 0]]], [1, 0]),
+    ([[[1, 0], [0, 1], [0, 0]], [[0, 1], [0, 0]]], [1, 0]),
+], ids=["missing-row", "short-row", "long-unit", "long-vector", "long-row"])
+def test_structure_shape_mismatch(structure, unit):
+    with pytest.raises(ValueError, match="structure constant shape mismatch"):
+        FinDimAlgebra(["a", "b"], structure, unit)
+
+
 def test_unit_validation():
     structure = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     with pytest.raises(ValueError):
