@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except (HypothesisViolation, PencilError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (SpecError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

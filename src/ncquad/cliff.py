@@ -39,7 +39,7 @@ class HypothesisViolation(Exception):
 class HypersurfaceData:
     """Ambient presentation S plus a degree-2 lift cutting out A = S/(z)."""
 
-    __slots__ = ("S", "z_lift", "A")
+    __slots__ = ("S", "A")
 
     def __init__(self, S: QuadraticPresentation, z_lift):
         g = S.num_generators
@@ -54,7 +54,6 @@ class HypersurfaceData:
             raise HypothesisViolation(
                 "independence", "the degree-2 element lies in the relation span") from None
         self.S = S
-        self.z_lift = z_lift
 
 
 def dual_central_element(h: HypersurfaceData, degree: int = 8):
@@ -111,7 +110,8 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
     check through degree 8 has proved injective, so it is invertible.
     Basis element i times (-) is w2^-1 times the chain of left maps
     along i's word; words sharing a prefix share its product, grouped
-    left to right.  Returns the algebra and det(w2).
+    left to right.  The unit is w^2, the certificate's multiplication by
+    w out of degree 2 applied to w.  Returns the algebra and det(w2).
     """
     dims = dual_a.dims
     if not (dims[4] == dims[6] == dims[8] == 8):
@@ -130,7 +130,7 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in words]
     structure = [chains[word].columns() for word in words]
-    alg = FinDimAlgebra(labels, structure, multiply(dual_a, w, 2, w, 2))
+    alg = FinDimAlgebra(labels, structure, cert.right_maps[2].apply(w))
     return alg, det(w2)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 try:
     from gmpy2 import mpq as _mpq
@@ -137,13 +138,6 @@ class Matrix:
         return Matrix._of(self.rows, other.cols,
                           [[c[i] for c in cols] for i in range(self.rows)])
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._of(self.rows, self.cols,
-                          [[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -158,10 +152,6 @@ class Matrix:
             return False
         return all(a == b for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
-
-    def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(row) for row in self.entries)))
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -343,18 +333,14 @@ class LaurentPoly:
     def __init__(self, coeffs):
         clean = {}
         for e, c in dict(coeffs).items():
-            c = int(c)
+            c = index(c)
             if c:
-                clean[int(e)] = c
+                clean[index(e)] = c
         self.coeffs = clean
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
-
-    @classmethod
-    def t(cls, k: int = 1) -> "LaurentPoly":
-        return cls({k: 1})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -363,9 +349,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __getitem__(self, e: int) -> int:
         return self.coeffs.get(e, 0)
@@ -393,9 +376,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
     @property
     def min_exp(self) -> int:

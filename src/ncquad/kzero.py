@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from operator import index
 
 BASIS_NAMES = ("a", "ℓ", "ℓ'", "p")
 _PARSE_ALIASES = {"a": 0, "ℓ": 1, "l": 1, "ℓ'": 2, "l'": 2, "p": 3}
@@ -27,7 +28,7 @@ class K0Class:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(index(c) for c in self.coeffs))
         if len(self.coeffs) != 4:
             raise ValueError("K0 classes have four coordinates")
 
@@ -41,7 +42,7 @@ class K0Class:
         return K0Class(tuple(-x for x in self.coeffs))
 
     def __rmul__(self, k: int) -> "K0Class":
-        return K0Class(tuple(int(k) * x for x in self.coeffs))
+        return K0Class(tuple(index(k) * x for x in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
@@ -80,14 +81,16 @@ def _mat_mul(m, n):
                  for i in range(4))
 
 
-def _mat_sub(m, n):
-    return tuple(tuple(m[i][j] - n[i][j] for j in range(4)) for i in range(4))
-
-
-_ID = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-
 # T - I, nilpotent of index 3 (lattice_init checks it), so act_t has a closed form
-_N = _mat_sub(_T, _ID)
+_N = tuple(tuple(_T[i][j] - (i == j) for j in range(4)) for i in range(4))
+
+
+def _binomials(k: int, m: int) -> list:
+    """C(k, 0), ..., C(k, m) for any integer k, C(k, j) = k(k-1)...(k-j+1)/j!."""
+    out = [1]
+    for j in range(1, m + 1):
+        out.append(out[-1] * (k - j + 1) // j)
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,14 +114,14 @@ def lattice_init() -> K0Lattice:
 def act_t(x: K0Class, k: int = 1) -> K0Class:
     """Apply the shift class action t^k; k may be negative.
 
-    T^k = I + k N + k(k-1)/2 N^2 for every integer k, as N^3 = 0.
+    T^k = (I + N)^k = I + C(k, 1) N + C(k, 2) N^2 for every integer k,
+    as N^3 = 0.
     """
-    k = int(k)
+    _, c1, c2 = _binomials(index(k), 2)
     v = x.coeffs
     nv = _mat_vec(_N, v)
     n2v = _mat_vec(_N, nv)
-    c = k * (k - 1) // 2
-    return K0Class(tuple(a + k * b + c * e for a, b, e in zip(v, nv, n2v)))
+    return K0Class(tuple(a + c1 * b + c2 * e for a, b, e in zip(v, nv, n2v)))
 
 
 def euler(x: K0Class, y: K0Class) -> int:
@@ -180,7 +183,7 @@ def parse_class(text: str) -> K0Class:
     text = text.strip()
     if text.startswith("["):
         vals = json.loads(text)
-        return K0Class(tuple(int(v) for v in vals))
+        return K0Class(tuple(index(v) for v in vals))
     coeffs = [0, 0, 0, 0]
     i = 0
     n = len(text)
@@ -224,7 +227,7 @@ class ProjNClass:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(index(c) for c in self.coeffs))
         if len(self.coeffs) != self.n + 1:
             raise ValueError("canonical representative has degree <= n")
 
@@ -271,28 +274,19 @@ def projn_class(n: int, kind: str, shift: int = 0) -> ProjNClass:
     """Class (1-t)^codim * t^shift in Z[t]/(1-t)^(n+1).
 
     kind picks the codimension: structure 0, hyperplane 1, line 2,
-    point 3.  Negative shifts use the inverse of t, which is a unit
-    modulo (1-t)^(n+1).
+    point 3.  With u = 1 - t the class is u^codim (1 - u)^shift, and
+    (1 - u)^shift = sum_j C(shift, j) (-u)^j modulo u^(n+1) for every
+    integer shift, negative ones included, since t is a unit there.
     """
     if kind not in _KINDS:
         raise ValueError("kind must be one of %s" % sorted(_KINDS))
-    power = _KINDS[kind]
-    base = [1]
-    for _ in range(power):
-        base = [a - b for a, b in zip(base + [0], [0] + base)]  # multiply by (1 - t)
-    cls = ProjNClass(n, _reduce_mod_one_minus_t(base, n))
-    if shift:
-        t_cls = (ProjNClass(n, _reduce_mod_one_minus_t([0, 1], n)) if shift > 0
-                 else _t_inverse(n))
-        for _ in range(abs(int(shift))):
-            cls = cls * t_cls
-    return cls
-
-
-def _t_inverse(n: int) -> ProjNClass:
-    # 1/t = 1/(1 - u) = sum u^j mod u^(n+1)
-    ones = [1] * (n + 1)
-    return ProjNClass(n, _substitute_one_minus(ones, n))
+    codim = _KINDS[kind]
+    shift = index(shift)
+    in_u = [0] * (n + 1)
+    if codim <= n:
+        for j, c in enumerate(_binomials(shift, n - codim)):
+            in_u[codim + j] = (-1) ** j * c
+    return ProjNClass(n, _substitute_one_minus(in_u, n))
 
 
 # -- identity suite --
@@ -320,9 +314,8 @@ def relation_suite() -> dict:
     a_rel = one_minus_t(one_minus_t(A)) - 2 * one_minus_t(L)
     record("a_one_minus_t_sq_minus_2l", a_rel.is_zero(), a_rel)
 
-    n = _mat_sub(_ID, _T)
-    n2 = _mat_mul(n, n)
-    n3 = _mat_mul(n2, n)
+    n2 = _mat_mul(_N, _N)
+    n3 = _mat_mul(n2, _N)
     record("one_minus_t_cubed_zero", not any(any(r) for r in n3))
     record("one_minus_t_squared_nonzero", any(any(r) for r in n2),
            K0Class(_mat_vec(n2, A.coeffs)))
@@ -367,15 +360,14 @@ def relation_suite() -> dict:
 
 
 def _kernel_is_p_and_l_diff() -> bool:
-    # integer kernel of (1 - T) must be exactly Z p + Z (l - l')
-    n = _mat_sub(_ID, _T)
+    # integer kernel of (1 - T) = -N must be exactly Z p + Z (l - l')
     for v in ((0, 1, -1, 0), (0, 0, 0, 1)):
-        if any(_mat_vec(n, v)):
+        if any(_mat_vec(_N, v)):
             return False
     # any kernel vector (x_a, x_l, x_l', x_p) must satisfy x_a = 0 and
-    # x_l + x_l' = 0, which is visible from the rows of (1 - T)
-    rows = set(tuple(r) for r in n if any(r))
-    return rows == {(1, 0, 0, 0), (-1, 1, 1, 0)}
+    # x_l + x_l' = 0, which is visible from the rows of N
+    rows = set(tuple(r) for r in _N if any(r))
+    return rows == {(-1, 0, 0, 0), (1, -1, -1, 0)}
 
 
 def _intersection_table_ok() -> bool:

@@ -410,7 +410,10 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
 
     Centrality is checked on the generators; A being generated in degree
     one, a central z has z*(-) = (-)*z, so one matrix A_n -> A_{n+2} is
-    checked per degree n <= bound - 2.  Degrees from max(2,
+    checked per degree n <= bound - 2.  Each basis word x_i t of degree
+    n >= 1 has a basis word t of degree n - 1 as its tail, so its column
+    is left multiplication by x_i applied to column t of the map out of
+    degree n - 1: z x_i t = x_i (z t).  Degrees from max(2,
     period_start - 1) on share their generator maps with n - 2 and reuse
     its matrix and verdict; they are listed in ``repeated``.
     """
@@ -426,9 +429,14 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
         if n >= first_repeat:
             right_maps.append(right_maps[n - 2])
             continue
-        basis = Matrix.identity(table.dims[n]).columns()
-        zmap = Matrix.from_columns([multiply(table, z, 2, b, n) for b in basis],
-                                   rows=table.dims[n + 2])
+        if n == 0:
+            zmap = Matrix.from_columns([z])
+        else:
+            prev, left = right_maps[n - 1], table.left[n + 1]
+            tails = {w: b for b, w in enumerate(table.words[n - 1])}
+            zmap = Matrix.from_columns(
+                [left[w[0]].apply(prev.column(tails[w[1:]])) for w in table.words[n]],
+                rows=table.dims[n + 2])
         ker = kernel_basis(zmap)
         if ker.cols:
             return RegularityCertificate(True, False, bound, failure_degree=n,

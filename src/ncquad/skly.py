@@ -18,6 +18,7 @@ exactly as a function of the pencil parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     require_central)
@@ -138,7 +139,7 @@ class Curve:
         return ECPoint(p.x, -p.y)
 
     def mul(self, n: int, p: ECPoint) -> ECPoint:
-        n = int(n)
+        n = index(n)
         if n < 0:
             return self.mul(-n, self.neg(p))
         acc = INFINITY

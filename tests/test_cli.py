@@ -242,6 +242,25 @@ def test_mf_verify_malformed_factor_exit_code(phi):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["smooth", COMM_FILE, "--z", "(" * 400 + "x0*x3" + ")" * 400],
+    ["smooth", COMM_FILE, "--z=" + "-" * 1200 + "x0*x3"],
+    ["hilbert", "@DEEP"],
+    ["mf-verify", COMM_FILE, "--z", "x0*x3-x1*x2", "--phi", "@@DEEP", "--psi", "@@DEEP"],
+], ids=["nested-parentheses", "unary-minus-chain", "hilbert-nested-json",
+        "mf-verify-nested-json"])
+def test_deep_input_exit_code(tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    argv = [a.replace("@DEEP", str(deep)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_pencil_command(capsys):
     code, out = run(capsys, "pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1",
                     "--samples", "42", "--degree-bound", "16", "--json")

@@ -77,14 +77,15 @@ def test_dual_central_element_sklyanin():
 
 # multiply, rref, det and Matrix @ calls for HypersurfaceData plus
 # clifford_with_scale on a sklyanin_a member.  Regularity builds one z-map
-# per degree and skips degrees 5 and 6, where the dual maps repeat (at
-# lambda = 5/9 nothing repeats); the w maps come from its certificate, and
-# C(A) calls multiply once, for its unit.  One @ forms the w^2 map and one
-# more extends each distinct prefix of the degree-4 words: 14 prefixes at
-# lambda = 3, 15 at lambda = 5/9.
+# per degree, each chained from the last through the left maps, and skips
+# degrees 5 and 6, where the dual maps repeat (at lambda = 5/9 nothing
+# repeats); the w maps and C(A)'s unit w^2 come from its certificate, so
+# nothing calls multiply.  One @ forms the w^2 map and one more extends
+# each distinct prefix of the degree-4 words: 14 prefixes at lambda = 3,
+# 15 at lambda = 5/9.
 @pytest.mark.parametrize("lam, want", [
-    ("3", {"multiply": 29, "rref": 15, "det": 1, "@": 15}),
-    ("5/9", {"multiply": 45, "rref": 19, "det": 1, "@": 16}),
+    ("3", {"multiply": 0, "rref": 15, "det": 1, "@": 15}),
+    ("5/9", {"multiply": 0, "rref": 19, "det": 1, "@": 16}),
 ], ids=["lambda-3", "lambda-5/9"])
 def test_member_work_counts(monkeypatch, lam, want):
     S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())

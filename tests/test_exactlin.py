@@ -95,6 +95,13 @@ def test_span_builder():
     assert not sb.contains([0, 0, 1])
 
 
+def test_laurent_poly_rejects_float_coefficients_and_exponents():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 2.5})
+    with pytest.raises(TypeError):
+        LaurentPoly({1.5: 1})
+
+
 def test_expand_geometric():
     s = RationalSeries(LaurentPoly.const(1), LaurentPoly({0: 1, 1: -1}))
     assert expand(s, 3) == [1, 1, 1, 1]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ncquad.kzero import (A, L, LP, P, K0Class, ProjNClass, act_t, euler,
@@ -153,6 +155,37 @@ def test_projn_shift_units():
     assert shifted * unshift == projn_class(3, "line")
     assert projn_class(3, "structure", 1) * projn_class(3, "structure", -1) == \
         projn_class(3, "structure")
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_projn_shift_is_a_power_of_t(n):
+    for kind in ("structure", "hyperplane", "line", "point"):
+        for step in (1, -1):
+            t_step = projn_class(n, "structure", step)
+            cls = projn_class(n, kind)
+            for k in range(13):
+                assert projn_class(n, kind, step * k) == cls
+                cls = cls * t_step
+
+
+def test_projn_huge_shift_is_closed_form():
+    start = time.perf_counter()
+    cls = projn_class(3, "line", 10 ** 9)
+    assert time.perf_counter() - start < 0.1
+    # t^k = (1 - u)^k, so u^2 t^k = u^2 - k u^3 modulo u^4
+    line, point = projn_class(3, "line").coeffs, projn_class(3, "point").coeffs
+    assert cls.coeffs == tuple(a - 10 ** 9 * b for a, b in zip(line, point))
+
+
+def test_integer_inputs_reject_floats():
+    with pytest.raises(TypeError):
+        K0Class((1.5, 0, 0, 0))
+    with pytest.raises(TypeError):
+        act_t(A, 1.7)
+    with pytest.raises(TypeError):
+        projn_class(3, "line", 1.9)
+    with pytest.raises(TypeError):
+        parse_class("[1.5, 0, 0, 0]")
 
 
 def test_projn_class_str():

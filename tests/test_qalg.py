@@ -351,3 +351,13 @@ def test_regularity_certificate_against_direct_z_maps(name):
         assert maps[n, "right"] == maps[n - 2, "right"]
         assert cert.right_maps[n] is cert.right_maps[n - 2]
     assert (cert.right_maps[6] is cert.right_maps[4]) == (6 in cert.repeated)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL8))
+def test_clifford_unit_is_w_squared(name):
+    # the unit comes from the certificate's map out of degree 2; multiply,
+    # which walks w's words through the right maps, is the oracle
+    from ncquad.cliff import HypersurfaceData, clifford_from_dual, dual_central_element
+    w, table, cert = dual_central_element(HypersurfaceData(*_quadric_member(name)))
+    alg, _ = clifford_from_dual(table, w, cert)
+    assert alg.unit == multiply(table, w, 2, w, 2)

@@ -50,6 +50,11 @@ def test_mul_matches_repeated_addition():
     assert CURVE.mul(-3, p) == CURVE.neg(CURVE.mul(3, p))
 
 
+def test_mul_rejects_a_float_multiple():
+    with pytest.raises(TypeError):
+        CURVE.mul(2.9, CURVE.point(-4, 6))
+
+
 def test_two_torsion():
     pts = CURVE.two_torsion()
     assert set(str(p) for p in pts) == {"O", "(0, 0)", "(5, 0)", "(-5, 0)"}
