@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries,
-                       det, inverse, kernel_basis, qq, qq_str)
+from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries, column_matrix,
+                       combine, det, inverse, kernel_basis, qq, qq_str, to_column,
+                       to_dense)
 from .findim import FinDimAlgebra, analyze, commutator_ideal
 from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
-                   build_table, evaluate_word, is_regular_central, koszul_dual,
-                   multiply, noncentral_generator)
+                   build_table, is_regular_central, koszul_dual, multiply,
+                   noncentral_generator)
 
 
 class HypothesisViolation(Exception):
@@ -119,18 +120,19 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
             "stabilization",
             "dual dimensions at degrees (4, 6, 8) are %r, expected (8, 8, 8)"
             % ((dims[4], dims[6], dims[8]),))
-    w2 = cert.right_maps[6] @ cert.right_maps[4]
-    left = dual_a.left
+    z_maps = cert.z_maps
+    w2 = column_matrix([combine(z_maps[6], c) for c in z_maps[4]], 8)
+    left = dual_a.left_cols
     words = dual_a.words[4]
-    chains = {(): inverse(w2)}
+    chains = {(): [to_column(c) for c in inverse(w2).columns()]}
     for word in words:
         for k, u in enumerate(word):
             if word[:k + 1] not in chains:
-                chains[word[:k + 1]] = chains[word[:k]] @ left[7 - k][u]
+                chains[word[:k + 1]] = [combine(chains[word[:k]], c) for c in left[7 - k][u]]
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in words]
-    structure = [chains[word].columns() for word in words]
-    alg = FinDimAlgebra(labels, structure, cert.right_maps[2].apply(w))
+    structure = [[to_dense(c, 8) for c in chains[word]] for word in words]
+    alg = FinDimAlgebra(labels, structure, to_dense(combine(z_maps[2], to_column(w)), 8))
     return alg, det(w2)
 
 
@@ -333,12 +335,8 @@ def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
     for name, left_m, right_m in (("phi.psi", phi, psi), ("psi.phi", psi, phi)):
         for i in range(s):
             for j in range(s):
-                acc = [qq(0)] * table.dims[2]
-                for k in range(s):
-                    term = multiply(table, left_m[i][k], 1, right_m[k][j], 1)
-                    for t, x in enumerate(term):
-                        if x:
-                            acc[t] += x
+                acc = [sum(xs) for xs in zip(*(multiply(table, left_m[i][k], 1, right_m[k][j], 1)
+                                               for k in range(s)))]
                 expected = z if i == j else zero
                 if acc != expected:
                     witness = MFWitness(name, i, j, acc, expected)
@@ -350,18 +348,12 @@ def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
 def word_vector_class(table: GradedTable, vec) -> list:
     """Image in A_2 of a vector in the degree-2 word space."""
     g = table.presentation.num_generators
-    vec = list(vec)
+    vec = [qq(c) for c in vec]
     if len(vec) != g * g:
         raise ValueError("expected a degree-2 word vector")
-    out = [qq(0)] * table.dims[2]
-    for k, c in enumerate(vec):
-        if c:
-            i, j = divmod(k, g)
-            cls = evaluate_word(table, (i, j))
-            for t, x in enumerate(cls):
-                if x:
-                    out[t] += qq(c) * x
-    return out
+    left = table.left_cols
+    words = [combine(left[1][i], left[0][j][0]) for i in range(g) for j in range(g)]
+    return to_dense(combine(words, to_column(vec)), table.dims[2])
 
 
 def require_central(table: GradedTable, lift, name: str):

@@ -2,18 +2,18 @@
 
 Everything here is over the rationals in characteristic zero.  All values
 are immutable after construction and safe to share between threads.
-Matrices are stored densely.  Row reduction has one kernel, SpanBuilder,
-which works on sparse integer rows (each row scaled by the lcm of its
-denominators, reduced fraction-free and kept primitive by content
-removal); rref feeds a matrix through it and returns the reduced row
-echelon form over QQ, which is unique for the row space, so every basis
-chosen downstream is reproducible whatever order the rows arrive in.
+Linear maps are lists of canonical integer sparse columns, applied by one
+helper, combine; a Matrix is the dense form.  Row reduction has one
+kernel, SpanBuilder, which reduces sparse integer rows fraction-free and
+keeps them primitive; rref feeds a matrix through it and returns the
+unique reduced row echelon form over QQ, so every basis chosen
+downstream is reproducible whatever order the rows arrive in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index
 
 try:
@@ -102,12 +102,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
-        columns = [list(c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return cls(rows, len(columns), [[c[i] for c in columns] for i in range(rows)])
+        return cls.from_rows(columns, cols=rows).transpose()
 
     def column(self, j: int) -> list:
         return [row[j] for row in self.entries]
@@ -118,33 +113,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
 
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        out = [ZERO] * self.rows
-        for j, vj in enumerate(vec):
-            if vj:
-                for i in range(self.rows):
-                    e = self.entries[i][j]
-                    if e:
-                        out[i] += e * vj
-        return out
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = [self.apply(other.column(j)) for j in range(other.cols)]
-        return Matrix._of(self.rows, other.cols,
-                          [[c[i] for c in cols] for i in range(self.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._of(self.rows, self.cols,
-                          [[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -152,9 +120,6 @@ class Matrix:
             return False
         return all(a == b for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
 
     def __repr__(self) -> str:
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols,
@@ -196,7 +161,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         span.add(row)
     entries = span.basis
     entries.extend([ZERO] * m.cols for _ in range(m.rows - len(entries)))
-    return Matrix._of(m.rows, m.cols, entries), sorted(span._held)
+    return Matrix._of(m.rows, m.cols, entries), sorted(span.pivot_rows)
 
 
 def rank(m: Matrix) -> int:
@@ -217,13 +182,14 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix):
-    """Exact determinant by Gaussian elimination with row swaps."""
+    """Exact determinant: fraction-free (Bareiss) elimination with row swaps
+    on the rows scaled to integers, divided by the row scales at the end."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
-    a = [row[:] for row in m.entries]
-    sign = 1
-    d = ONE
+    scaled = [to_column(row) for row in m.entries]
+    a = [[nums.get(j, 0) for j in range(n)] for _, nums in scaled]
+    sign, prev = 1, 1
     for c in range(n):
         pr = next((i for i in range(c, n) if a[i][c]), None)
         if pr is None:
@@ -231,15 +197,11 @@ def det(m: Matrix):
         if pr != c:
             a[c], a[pr] = a[pr], a[c]
             sign = -sign
-        piv = a[c][c]
-        d *= piv
         for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / piv
-                for j in range(c + 1, n):
-                    a[i][j] -= f * a[c][j]
-                a[i][c] = ZERO
-    return d * sign
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return _mpq(sign * prev, prod(d for d, _ in scaled))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -259,36 +221,33 @@ class SpanBuilder:
     """Incremental row-space container for rank and membership queries.
 
     Rows are kept as {column: int} dicts and reduced by fraction-free
-    incremental Gauss-Jordan: each incoming vector is scaled once by the
-    lcm of its denominators, then cleared at every pivot column it hits
-    by cross-multiplication with the held pivot row.  A vector that
-    reduces to zero lies in the span; otherwise its leftmost entry becomes
-    a new pivot, which is cleared from the rows already held.  Every held
-    row is kept primitive (its content divided out) with a positive pivot
-    entry, a multiple of a row of a partial RREF, so entry sizes stay
-    bounded.  Only ``basis`` divides the rows by their pivot entries, so
-    every nonzero entry it returns is a QQ on either backend.
+    incremental Gauss-Jordan: each incoming row is cleared at every pivot
+    column it hits by cross-multiplication with the held pivot row.  A
+    row that reduces to zero lies in the span; otherwise its leftmost
+    entry becomes a new pivot, which is cleared from the rows already
+    held.  Every held row (``pivot_rows``, by pivot) is kept primitive
+    with a positive pivot entry, a multiple of a row of a partial RREF,
+    so entry sizes stay bounded.  A rational vector enters through
+    ``add``, scaled once by the lcm of its denominators.  Only ``basis``
+    divides the rows by their pivot entries, so every nonzero entry it
+    returns is a QQ on either backend.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._held: dict[int, dict] = {}
+        self.pivot_rows: dict[int, dict] = {}  # read only outside this class
 
-    def _reduce(self, vec: list) -> dict:
-        # most zeros here are the shared ZERO; the identity test skips Fraction.__bool__
-        nz = [(j, x) for j, x in enumerate(vec) if x is not ZERO and x]
-        d = lcm(*[x.denominator for _, x in nz])
-        row = {j: x.numerator * (d // x.denominator) for j, x in nz}
-        held = self._held
+    def _reduce(self, row: dict) -> dict:
+        held = self.pivot_rows
         # pivot rows are zero at every other pivot column, so the set of
         # pivots an incoming row hits is fixed before any is cleared
         for c in [c for c in row if c in held]:
             row = _cross_reduce(row, c, held[c])
         return row
 
-    def add(self, vec: list) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        row = self._reduce(vec)
+    def add_row(self, row: dict) -> bool:
+        """Add (and consume) an integer row {column: nonzero int}; True if the span grew."""
+        row = self._reduce(row)
         if not row:
             return False
         c = min(row)
@@ -297,32 +256,91 @@ class SpanBuilder:
             g = -g
         if g != 1:
             row = {j: x // g for j, x in row.items()}
-        held = self._held
+        held = self.pivot_rows
         for k, other in held.items():
             if c in other:
                 held[k] = _cross_reduce(other, c, row)
         held[c] = row
         return True
 
+    def add(self, vec: list) -> bool:
+        """Add a rational vector; returns True if it enlarged the span."""
+        return self.add_row(to_column(vec)[1])
+
     def contains(self, vec: list) -> bool:
-        return not self._reduce(vec)
+        return not self._reduce(to_column(vec)[1])
 
     @property
     def rank(self) -> int:
-        return len(self._held)
+        return len(self.pivot_rows)
 
     @property
     def basis(self) -> list:
         """The reduced row echelon rows of the span, in pivot order."""
-        out = []
-        for c in sorted(self._held):
-            row = self._held[c]
-            p = row[c]
-            dense = [ZERO] * self.dim
-            for j, x in row.items():
-                dense[j] = _mpq(x, p)
-            out.append(dense)
-        return out
+        return [to_dense((row[c], row), self.dim) for c, row in sorted(self.pivot_rows.items())]
+
+
+# -- integer sparse columns --
+#
+# A rational vector is held as a column (den, {row: num}): the entry at
+# row is num/den, zero entries are absent, den > 0 and gcd(den, nums) = 1,
+# so equal vectors are equal columns.  A linear map is the list of its
+# columns, the images of the basis vectors of its source.
+
+def to_column(vec) -> tuple[int, dict]:
+    """Column of a dense rational vector (ints allowed)."""
+    # most zeros here are the shared ZERO; the identity test skips Fraction.__bool__
+    nz = [(j, x) for j, x in enumerate(vec) if x is not ZERO and x]
+    # canonical as built: no prime of the lcm divides every numerator
+    d = lcm(*[x.denominator for _, x in nz])
+    return d, {j: x.numerator * (d // x.denominator) for j, x in nz}
+
+
+def to_dense(col: tuple, dim: int) -> list:
+    """Dense rational vector of length dim of a column."""
+    out = [ZERO] * dim
+    for t, x in col[1].items():
+        out[t] = _mpq(x, col[0])
+    return out
+
+
+def column_matrix(cols: list, rows: int) -> Matrix:
+    """Dense Matrix with the given columns and row count."""
+    dense = [to_dense(c, rows) for c in cols]
+    return Matrix._of(rows, len(cols), [[c[i] for c in dense] for i in range(rows)])
+
+
+def combine(cols, vec: tuple) -> tuple[int, dict]:
+    """Column of sum(vec[r] * cols[r]), the map with columns cols applied to vec.
+
+    The sum runs in integers over the lcm of the denominators and is reduced once.
+    """
+    den, nums = vec
+    terms = [(c, cols[r]) for r, c in nums.items()]
+    d = lcm(*[col[0] for _, col in terms])
+    acc: dict = {}
+    get = acc.get
+    for c, (e, col) in terms:
+        if e != d:
+            c *= d // e
+        for t, x in col.items():
+            acc[t] = get(t, 0) + c * x
+    if 0 in acc.values():
+        acc = {t: x for t, x in acc.items() if x}
+    d *= den
+    g = gcd(d, *acc.values())
+    return (d, acc) if g == 1 else (d // g, {t: x // g for t, x in acc.items()})
+
+
+def _laurent_operand(op):
+    """op with an int operand taken as a constant and any other non-LaurentPoly refused."""
+    def checked(self, other):
+        if isinstance(other, int) and not isinstance(other, bool):
+            other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return op(self, other)
+    return checked
 
 
 class LaurentPoly:
@@ -353,6 +371,7 @@ class LaurentPoly:
     def __getitem__(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
+    @_laurent_operand
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -362,12 +381,12 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
+    @_laurent_operand
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+    @_laurent_operand
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -468,6 +487,14 @@ def expand(series: RationalSeries, n: int) -> list:
     return [coeffs.get(k, qq(0)) for k in range(n + 1)]
 
 
+def _one_minus_t_order(p: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """(k, p / (1 - t)^k) for the largest such k; p is nonzero."""
+    k = 0
+    while (q := p.div_one_minus_t()) is not None:
+        p, k = q, k + 1
+    return k, p
+
+
 def pole_data(series: RationalSeries) -> tuple[int, QQ]:
     """Order of the pole at t = 1 and the leading value there.
 
@@ -478,20 +505,8 @@ def pole_data(series: RationalSeries) -> tuple[int, QQ]:
     f, h = series.numerator, series.denominator
     if not f:
         return 0, qq(0)
-    a = 0
-    while True:
-        q = f.div_one_minus_t()
-        if q is None:
-            break
-        f = q
-        a += 1
-    b = 0
-    while True:
-        q = h.div_one_minus_t()
-        if q is None:
-            break
-        h = q
-        b += 1
+    a, f = _one_minus_t_order(f)
+    b, h = _one_minus_t_order(h)
     order = max(b - a, 0)
     leading = qq(f.value_at_one()) / qq(h.value_at_one())
     return order, leading

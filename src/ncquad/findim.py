@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .exactlin import Matrix, SpanBuilder, det, inverse, kernel_basis, qq
+from .exactlin import (Matrix, SpanBuilder, combine, det, inverse, kernel_basis, qq,
+                       to_column, to_dense)
 
 
 class FinDimAlgebra:
@@ -163,12 +164,11 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
         raise RuntimeError("quotient collapsed to zero; unital algebra expected")
     p_cols = ideal.columns() + [e for _, e in complement]
     basis_change = Matrix.from_columns(p_cols, rows=n)
-    inv = inverse(basis_change)
+    inv = [to_column(c) for c in inverse(basis_change).columns()]
     r = ideal.cols
 
     def project(vec: list) -> list:
-        coords = inv.apply(vec)
-        return coords[r:]
+        return to_dense(combine(inv, to_column(vec)), n)[r:]
 
     labels = [alg.labels[j] for j, _ in complement]
     structure = [[project(alg.multiply(e_i, e_j)) for _, e_j in complement]

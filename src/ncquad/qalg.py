@@ -5,11 +5,12 @@ relations.  Graded components are built by the exact recurrence
 
     A_{n+1} = (V (x) A_n) / image(R (x) A_{n-1}),
 
-which is correct for quadratic algebras.  The image rows are formed
-sparsely and reduced by exact elimination.  Normal-word bases are picked
-by deglex pivoting with a fixed generator order, so identical inputs
-always produce identical tables.  Words are tuples of generator indices;
-the degree-2 word space indexes the pair (i, j) at position i*g + j.
+which is correct for quadratic algebras.  The generator maps are integer
+sparse columns from the elimination (SpanBuilder, fed integer image
+rows) to their consumers.  Normal-word bases are picked by deglex
+pivoting with a fixed generator order, so identical inputs always
+produce identical tables.  Words are tuples of generator indices; the
+degree-2 word space indexes the pair (i, j) at position i*g + j.
 
 The dual of a quadric S/(z) reaches a period-2 fixed point, as
 multiplication by its central regular w identifies degree n with degree
@@ -22,8 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .exactlin import ONE, ZERO, Matrix, kernel_basis, qq, qq_str, rank, rref
+from .exactlin import (Matrix, SpanBuilder, column_matrix, combine, kernel_basis, qq,
+                       qq_str, rank, rref, to_column, to_dense)
 
 
 class DegreeOverflowError(ValueError):
@@ -147,28 +150,34 @@ class GradedTable:
 
     ``words[n][b]`` is the representative word of basis element b in
     degree n; every representative evaluates to its own basis vector.
-    ``left[n][i]`` is multiplication by generator i on the left, a map
-    from degree n to degree n+1, and ``right[n][i]`` the same on the
-    right.  From degree ``period_start`` on (None when it never happens)
-    the maps repeat with period 2: ``left[n] is left[n - 2]`` and
-    ``right[n] is right[n - 2]``, the same Matrix objects.
+    ``left_cols[n][i]`` is multiplication by generator i on the left, a
+    map from degree n to degree n+1, as its list of integer columns (see
+    exactlin), and ``right_cols[n][i]`` the same on the right; ``left``
+    and ``right`` are their Matrix views, built on first access.  From
+    degree ``period_start`` on (None when it never happens) the maps
+    repeat with period 2: ``left_cols[n] is left_cols[n - 2]``, and so on.
     """
 
     presentation: QuadraticPresentation
     max_degree: int
     dims: list[int]
     words: list[list[tuple[int, ...]]]
-    left: list[list[Matrix]]
-    right: list[list[Matrix]]
+    left_cols: list[list[list]]
+    right_cols: list[list[list]]
     period_start: int | None = None
 
+    left = cached_property(lambda self: _views(self.left_cols, lambda n, by_gen: [
+        column_matrix(cols, self.dims[n + 1]) for cols in by_gen]))
+    right = cached_property(lambda self: _views(self.right_cols, lambda n, by_gen: [
+        column_matrix(cols, self.dims[n + 1]) for cols in by_gen]))
 
-def _from_sparse_columns(cols: list, rows: int) -> Matrix:
-    entries = [[ZERO] * len(cols) for _ in range(rows)]
-    for b, col in enumerate(cols):
-        for t, x in col.items():
-            entries[t][b] = x
-    return Matrix._of(rows, len(cols), entries)
+
+def _views(maps: list, view) -> list:
+    """[view(n, maps[n])], one view shared wherever maps[n] is maps[n - 2]."""
+    out = []
+    for n, m in enumerate(maps):
+        out.append(out[n - 2] if n >= 2 and m is maps[n - 2] else view(n, m))
+    return out
 
 
 def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
@@ -176,11 +185,11 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
 
     Step n builds degree n + 1 from exact index-level inputs: the two
     previous dimensions, the (first letter, tail index) shape of the
-    degree-n words and the sparse generator maps out of degree n - 1.
-    When these equal the inputs of step n - 2, so do the outputs; the
-    step then shares step n - 2's maps instead of eliminating, and so
-    does every later step, since its inputs are then shared too.  Only
-    the words are extended.
+    degree-n words and the generator maps out of degree n - 1.  When
+    these equal the inputs of step n - 2 (columns are canonical, so equal
+    maps are equal lists), so do the outputs; the step then shares step
+    n - 2's maps instead of eliminating, and so does every later step,
+    since its inputs are then shared too.  Only the words are extended.
     """
     if max_degree < 2:
         raise ValueError("degree bound must be at least 2")
@@ -189,13 +198,12 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     words: list[list[tuple[int, ...]]] = [[()], [(i,) for i in range(g)]]
     # word b of degree n is (i,) + words[n - 1][t] for shapes[n][b] == (i, t)
     shapes: list[list[tuple[int, int]]] = [[], [(i, 0) for i in range(g)]]
-    # generator maps of the last degree as sparse columns {row: value}
-    lcols = rcols = [[{i: ONE}] for i in range(g)]
-    left = [[_from_sparse_columns(c, g) for c in lcols]]
-    right = list(left)
-    # each relation as, per first letter i, the (second letter, coefficient) terms
-    rel_terms = [[[(j, rel[i * g + j]) for j in range(g) if rel[i * g + j]]
-                  for i in range(g)] for rel in p.relations]
+    # generator maps of the last degree
+    lcols = rcols = [[(1, {i: 1})] for i in range(g)]
+    left, right = [lcols], [rcols]
+    # each relation as an integer column over the pairs i * g + j
+    rels = [to_column(rel) for rel in p.relations]
+    pairs = sorted({k for _, nums in rels for k in nums})
     keys = [None, None]  # inputs of steps n - 2 and n - 1
     period_start = None
 
@@ -219,64 +227,45 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
         # words[n] ascends, so the word x_i words[n][t] of coordinate
         # o = i * d_n + t ascends in o; deglex pivoting eliminates lex-largest
         # words first, so pivoting column k holds coordinate m - 1 - k.
-        # image of R (x) A_{n-1} inside V (x) A_n, in pivoting column order
-        image_rows = []
-        for terms in rel_terms:
-            for b in range(d_prev):
-                row: dict = {}
-                for i, ts in enumerate(terms):
-                    off = i * d_n
-                    for j, c in ts:
-                        for t, x in lcols[j][b].items():
-                            k = m - 1 - off - t
-                            v = row.get(k)
-                            row[k] = c * x if v is None else v + c * x
-                dense = [ZERO] * m
-                for k, v in row.items():
-                    dense[k] = v
-                image_rows.append(dense)
-
-        red, pivots = rref(Matrix._of(len(image_rows), m, image_rows))
-        pivot_set = set(pivots)
+        # The image of R (x) A_{n-1} inside V (x) A_n: per basis word b of
+        # degree n - 1, each relation applied to the x_i x_j b it uses.
+        span = SpanBuilder(m)
+        for b in range(d_prev):
+            placed = {}
+            for k in pairs:
+                i, j = divmod(k, g)
+                den, nums = lcols[j][b]
+                base = m - 1 - i * d_n
+                placed[k] = (den, {base - t: x for t, x in nums.items()})
+            for rel in rels:
+                span.add_row(combine(placed, rel)[1])
+        held = span.pivot_rows
         # free positions, right to left: words[n + 1] ascends as well
-        basis_positions = [k for k in range(m - 1, -1, -1) if k not in pivot_set]
+        basis_positions = [k for k in range(m - 1, -1, -1) if k not in held]
         d_next = len(basis_positions)
         pos_to_basis = {k: idx for idx, k in enumerate(basis_positions)}
-        pivot_rows = dict(zip(pivots, red.entries))
         new_shape = [divmod(m - 1 - k, d_n) for k in basis_positions]
 
-        # left maps: reduce each unit coordinate modulo the image
-        next_lcols = []
-        for i in range(g):
-            cols = []
-            for b in range(d_n):
-                k = m - 1 - i * d_n - b
-                row = pivot_rows.get(k)
-                if row is None:
-                    cols.append({pos_to_basis[k]: ONE})
-                else:
-                    cols.append({pos_to_basis[j]: -row[j] for j in basis_positions if row[j]})
-            next_lcols.append(cols)
+        def reduced(k):  # coordinate k if free, else -sum(r[j] e_j) / r[k] by its pivot row r
+            row = held.get(k)
+            if row is None:
+                return 1, {pos_to_basis[k]: 1}
+            return row[k], {pos_to_basis[j]: -x for j, x in row.items() if j != k}
+
+        # left maps: x_i times basis word b of degree n is coordinate i * d_n + b
+        next_lcols = [[reduced(m - 1 - i * d_n - b) for b in range(d_n)] for i in range(g)]
 
         # right maps, recursively: (x_j w') x_i = x_j (w' x_i)
-        next_rcols = [[] for _ in range(g)]
-        for j, b_tail in shapes[n]:
-            lj = next_lcols[j]
-            for i in range(g):
-                acc: dict = {}
-                for s, v in rcols[i][b_tail].items():
-                    for t, x in lj[s].items():
-                        a = acc.get(t)
-                        acc[t] = v * x if a is None else a + v * x
-                next_rcols[i].append({t: x for t, x in acc.items() if x})
+        next_rcols = [[combine(next_lcols[j], rcols[i][t]) for j, t in shapes[n]]
+                      for i in range(g)]
 
         # step n + 2 can match this step only if d_next == d_prev; otherwise
         # the maps out of degree n - 1 are freed here, as without the keys
         keys = [keys[1], key if d_next == d_prev else None]
         del key
         lcols, rcols = next_lcols, next_rcols
-        left.append([_from_sparse_columns(c, d_next) for c in lcols])
-        right.append([_from_sparse_columns(c, d_next) for c in rcols])
+        left.append(lcols)
+        right.append(rcols)
         dims.append(d_next)
         shapes.append(new_shape)
         words.append([(i,) + words[n][t] for i, t in new_shape])
@@ -301,19 +290,14 @@ def multiply(table: GradedTable, a: list, deg_a: int, b: list, deg_b: int) -> li
                                   % (total, table.max_degree))
     if len(a) != table.dims[deg_a] or len(b) != table.dims[deg_b]:
         raise ValueError("element length does not match its degree")
-    out = [qq(0)] * table.dims[total]
-    for idx, coef in enumerate(b):
-        if not coef:
-            continue
+    a, b = to_column(a), to_column(b)
+    prods = {}
+    for idx in b[1]:
         v = a
-        d = deg_a
-        for letter in table.words[deg_b][idx]:
-            v = table.right[d][letter].apply(v)
-            d += 1
-        for t, x in enumerate(v):
-            if x:
-                out[t] += coef * x
-    return out
+        for d, letter in enumerate(table.words[deg_b][idx], deg_a):
+            v = combine(table.right_cols[d][letter], v)
+        prods[idx] = v
+    return to_dense(combine(prods, b), table.dims[total])
 
 
 def evaluate_word(table: GradedTable, word) -> list:
@@ -322,12 +306,10 @@ def evaluate_word(table: GradedTable, word) -> list:
     if len(word) > table.max_degree:
         raise DegreeOverflowError("word of length %d exceeds table bound %d"
                                   % (len(word), table.max_degree))
-    v = [qq(1)]
-    d = 0
-    for letter in reversed(word):
-        v = table.left[d][letter].apply(v)
-        d += 1
-    return v
+    v = (1, {0: 1})
+    for d, letter in enumerate(reversed(word)):
+        v = combine(table.left_cols[d][letter], v)
+    return to_dense(v, table.dims[len(word)])
 
 
 def element_word_lift(table: GradedTable, vec: list, degree: int) -> list:
@@ -353,11 +335,11 @@ def central_quadratic_space(table: GradedTable) -> Matrix:
     if table.max_degree < 3:
         raise ValueError("need a table through degree 3")
     g = table.presentation.num_generators
-    d2, d3 = table.dims[2], table.dims[3]
+    d2 = table.dims[2]
     rows = []
     for i in range(g):
-        diff = table.right[2][i] - table.left[2][i]
-        rows.extend(diff.entries)
+        rows.extend([a - b for a, b in zip(ra, la)]
+                    for ra, la in zip(table.right[2][i].entries, table.left[2][i].entries))
     return kernel_basis(Matrix.from_rows(rows, cols=d2))
 
 
@@ -367,9 +349,10 @@ class RegularityCertificate:
 
     ``repeated`` lists the degrees n >= max(2, period_start - 1), whose
     check was skipped: multiplication by z out of degree n is then the
-    matrix of degree n - 2, already proved injective.  ``right_maps[n]``
-    is the matrix of b -> z b = b z from degree n to n + 2, for every
-    checked n; a repeated degree holds the same object as n - 2.
+    map of degree n - 2, already proved injective.  ``z_maps[n]`` holds the
+    integer columns of b -> z b = b z from degree n to n + 2 (``dims`` of
+    the table), for every checked n, the same list as n - 2 at a repeated
+    degree; ``right_maps`` are their Matrix views.
     """
 
     central: bool
@@ -379,7 +362,11 @@ class RegularityCertificate:
     witness: list | None = None
     side: str | None = None
     repeated: list[int] = field(default_factory=list)
-    right_maps: list[Matrix] = field(default_factory=list)
+    z_maps: list[list] = field(default_factory=list)
+    dims: list[int] = field(default_factory=list)
+
+    right_maps = cached_property(lambda self: _views(
+        self.z_maps, lambda n, cols: column_matrix(cols, self.dims[n + 2])))
 
     @property
     def ok(self) -> bool:
@@ -399,8 +386,9 @@ def noncentral_generator(table: GradedTable, z: list) -> int | None:
     None certifies that z is central, for the reason given in
     central_quadratic_space; the table must reach degree 3.
     """
+    z = to_column(z)
     for i in range(table.presentation.num_generators):
-        if table.right[2][i].apply(z) != table.left[2][i].apply(z):
+        if combine(table.right_cols[2][i], z) != combine(table.left_cols[2][i], z):
             return i
     return None
 
@@ -409,13 +397,14 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
     """Check z in A_2 is central and multiplication by z is injective.
 
     Centrality is checked on the generators; A being generated in degree
-    one, a central z has z*(-) = (-)*z, so one matrix A_n -> A_{n+2} is
-    checked per degree n <= bound - 2.  Each basis word x_i t of degree
-    n >= 1 has a basis word t of degree n - 1 as its tail, so its column
-    is left multiplication by x_i applied to column t of the map out of
-    degree n - 1: z x_i t = x_i (z t).  Degrees from max(2,
+    one, a central z has z*(-) = (-)*z, so one map A_n -> A_{n+2} is
+    checked per degree n <= bound - 2, injective when each column
+    enlarges the span of the ones before it.  Each basis word x_i t of
+    degree n >= 1 has a basis word t of degree n - 1 as its tail, so its
+    column is left multiplication by x_i applied to column t of the map
+    out of degree n - 1: z x_i t = x_i (z t).  Degrees from max(2,
     period_start - 1) on share their generator maps with n - 2 and reuse
-    its matrix and verdict; they are listed in ``repeated``.
+    its map and verdict; they are listed in ``repeated``.
     """
     if bound > table.max_degree:
         raise ValueError("bound exceeds table degree")
@@ -424,27 +413,26 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
         return RegularityCertificate(False, False, bound, side=str(i))
     p = table.period_start
     first_repeat = bound if p is None else max(2, p - 1)
-    right_maps = []
+    z_maps = []
     for n in range(0, bound - 1):
         if n >= first_repeat:
-            right_maps.append(right_maps[n - 2])
+            z_maps.append(z_maps[n - 2])
             continue
         if n == 0:
-            zmap = Matrix.from_columns([z])
+            cols = [to_column(z)]
         else:
-            prev, left = right_maps[n - 1], table.left[n + 1]
+            prev, left = z_maps[n - 1], table.left_cols[n + 1]
             tails = {w: b for b, w in enumerate(table.words[n - 1])}
-            zmap = Matrix.from_columns(
-                [left[w[0]].apply(prev.column(tails[w[1:]])) for w in table.words[n]],
-                rows=table.dims[n + 2])
-        ker = kernel_basis(zmap)
-        if ker.cols:
+            cols = [combine(left[w[0]], prev[tails[w[1:]]]) for w in table.words[n]]
+        span = SpanBuilder(table.dims[n + 2])
+        if not all(span.add_row(dict(nums)) for _, nums in cols):
+            ker = kernel_basis(column_matrix(cols, table.dims[n + 2]))
             return RegularityCertificate(True, False, bound, failure_degree=n,
                                          witness=ker.column(0), side="left")
-        right_maps.append(zmap)
+        z_maps.append(cols)
     return RegularityCertificate(True, True, bound,
                                  repeated=list(range(first_repeat, bound - 1)),
-                                 right_maps=right_maps)
+                                 z_maps=z_maps, dims=table.dims)
 
 
 def koszul_identity_check(p: QuadraticPresentation, bound: int) -> list:

@@ -35,6 +35,12 @@ def first_nonassociative_triple(structure):
     return None
 
 
+def matmul(a, b):
+    """Dense matrix product, in plain sums."""
+    return Matrix(a.rows, b.cols, [[sum(x * y for x, y in zip(row, col) if x and y)
+                                    for col in b.columns()] for row in a.entries])
+
+
 RATIONAL = st.builds(qq, st.integers(-3, 3), st.integers(1, 3))
 NONZERO = RATIONAL.filter(bool)
 
@@ -59,11 +65,11 @@ def conjugated_even_cliffords(draw):
                           for b in range(n)] for a in range(n)])
     lower = Matrix(n, n, [[draw(RATIONAL) if a > b > 0 else int(a == b) for b in range(n)]
                           for a in range(n)])
-    p = upper @ diag @ lower
+    p = matmul(matmul(upper, diag), lower)
     p_inv = inverse(p)
     cols = p.columns()
-    structure = [[p_inv.apply(alg.multiply(cols[a], cols[b])) for b in range(n)]
-                 for a in range(n)]
+    structure = [[matmul(p_inv, Matrix.from_columns([alg.multiply(cols[a], cols[b])])).column(0)
+                  for b in range(n)] for a in range(n)]
     return alg.labels, structure
 
 

@@ -314,12 +314,13 @@ def _z_matrix(table, z, n, side):
         if not c:
             continue
         if side == "left":
-            prod = table.left[n + 1][i] @ table.left[n][j]
+            outer, inner = table.left[n + 1][i], table.left[n][j]
         else:
-            prod = table.right[n + 1][j] @ table.right[n][i]
+            outer, inner = table.right[n + 1][j], table.right[n][i]
         for r in range(rows):
             for k in range(cols):
-                acc[r][k] += c * prod.entries[r][k]
+                acc[r][k] += c * sum(outer.entries[r][s] * inner.entries[s][k]
+                                     for s in range(inner.rows))
     return Matrix(rows, cols, acc)
 
 

@@ -1,0 +1,173 @@
+"""Differential and metamorphic tests of build_table's integer-column step.
+
+The reference is the dense Fraction step that build_table used before it
+kept its maps as integer columns: every image row is a dense row of
+rationals, rref reduces them all at once and the maps are read back off
+the reduced grid, at every degree, with no step shared.
+"""
+
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ncquad.exactlin import Matrix, qq, rref  # noqa: E402
+from ncquad.families import (commutative_presentation,  # noqa: E402
+                             symmetric_form_to_element, word_vector)
+from ncquad.qalg import QuadraticPresentation, build_table, koszul_dual  # noqa: E402
+
+
+def mat_vec(m, vec):
+    return [sum((a * b for a, b in zip(row, vec)), qq(0)) for row in m.entries]
+
+
+def dense_table(p, max_degree):
+    """(dims, words, left, right, period_start) by dense elimination at every degree.
+
+    Step n lists the image of R (x) A_{n-1} in V (x) A_n as dense rows
+    over the pivoting columns k = m - 1 - (i * d_n + t), so that rref's
+    leftmost pivots are the lex-largest words.  The free columns, right
+    to left, are the basis of degree n + 1; a pivot coordinate reduces
+    to minus its reduced row on the free columns.  period_start is the
+    first step whose inputs (dimensions, word shapes and the maps out of
+    degree n - 1) equal those of step n - 2.
+    """
+    g = p.num_generators
+    dims = [1, g]
+    words = [[()], [(i,) for i in range(g)]]
+    unit_maps = [Matrix.from_columns([[qq(int(t == i)) for t in range(g)]]) for i in range(g)]
+    left, right = [unit_maps], [list(unit_maps)]
+    for n in range(1, max_degree):
+        d_prev, d_n = dims[n - 1], dims[n]
+        m = g * d_n
+        rows = []
+        for rel in p.relations:
+            for b in range(d_prev):
+                row = [qq(0)] * m
+                for ij, c in enumerate(rel):
+                    if c:
+                        i, j = divmod(ij, g)
+                        for t, x in enumerate(left[n - 1][j].column(b)):
+                            row[m - 1 - i * d_n - t] += c * x
+                rows.append(row)
+        red, pivots = rref(Matrix.from_rows(rows, cols=m))
+        pivot_rows = dict(zip(pivots, red.entries))
+        free = [k for k in range(m - 1, -1, -1) if k not in pivot_rows]
+        position = {k: idx for idx, k in enumerate(free)}
+        words.append([(i,) + words[n][t] for i, t in (divmod(m - 1 - k, d_n) for k in free)])
+        dims.append(len(free))
+        maps = []
+        for i in range(g):
+            cols = []
+            for b in range(d_n):
+                k = m - 1 - i * d_n - b
+                col = [qq(0)] * len(free)
+                if k in position:
+                    col[position[k]] = qq(1)
+                else:
+                    for j in free:
+                        col[position[j]] = -pivot_rows[k][j]
+                cols.append(col)
+            maps.append(Matrix.from_columns(cols, rows=len(free)))
+        left.append(maps)
+        tails = {w: b for b, w in enumerate(words[n - 1])}
+        right.append([Matrix.from_columns(
+            [mat_vec(left[n][w[0]], right[n - 1][i].column(tails[w[1:]])) for w in words[n]],
+            rows=len(free)) for i in range(g)])
+
+    def inputs(n):
+        tails = {w: b for b, w in enumerate(words[n - 1])}
+        shape = [(w[0], tails[w[1:]]) for w in words[n]]
+        return dims[n - 1], dims[n], shape, left[n - 1], right[n - 1]
+
+    period_start = next((n for n in range(3, max_degree) if inputs(n) == inputs(n - 2)), None)
+    return dims, words, left, right, period_start
+
+
+def assert_matches_dense(p, degree):
+    table = build_table(p, degree)
+    dims, words, left, right, period_start = dense_table(p, degree)
+    assert table.dims == dims
+    assert table.words == words
+    assert table.left == left
+    assert table.right == right
+    assert table.period_start == period_start
+
+
+NONZERO = st.builds(qq, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def presentations(draw):
+    """3 or 4 generators, sparse relations with rational coefficients, a degree <= 5."""
+    g = draw(st.integers(3, 4))
+    count = draw(st.integers(2, g * g - 2))
+    relations = []
+    for _ in range(count):
+        pairs = draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=3, unique=True))
+        rel = [qq(0)] * (g * g)
+        for k in pairs:
+            rel[k] = draw(NONZERO)
+        relations.append(rel)
+    try:
+        p = QuadraticPresentation(["x%d" % i for i in range(g)], relations)
+    except ValueError:
+        hypothesis.assume(False)
+    # keep the dense reference small: stop at the first component past 24
+    degree = 3
+    while degree < 5 and build_table(p, degree).dims[degree] <= 24:
+        degree += 1
+    return p, degree
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations())
+def test_build_table_matches_dense_elimination(case):
+    assert_matches_dense(*case)
+
+
+COMM = commutative_presentation()
+HYPERBOLIC = word_vector(4, {(0, 3): 1, (1, 2): -1})
+FORM = symmetric_form_to_element(
+    [[0, 12, -48, 28], [12, 21, -3, 6], [-48, -3, -12, 5], [28, 6, 5, -1]])
+
+
+def quadric_dual(lift):
+    return koszul_dual(QuadraticPresentation(COMM.generator_names,
+                                             list(COMM.relations) + [lift]))
+
+
+# duals of quadrics, whose maps repeat from degree 6 (hyperbolic) and 7 (form)
+@pytest.mark.parametrize("lift", [HYPERBOLIC, FORM], ids=["hyperbolic", "form"])
+def test_periodic_dual_table_matches_dense_elimination(lift):
+    assert_matches_dense(quadric_dual(lift), 8)
+
+
+SKLYANIN = QuadraticPresentation.load(
+    (Path(__file__).resolve().parents[1] / "presentations" / "sklyanin_a.json").read_text())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["comm4", "sklyanin_a", "comm4_dual", "hyperbolic_dual", "form_dual"]),
+       st.data())
+def test_relation_scale_and_order_do_not_change_the_table(name, data):
+    p, degree = {
+        "comm4": (COMM, 5),
+        "sklyanin_a": (SKLYANIN, 5),
+        "comm4_dual": (koszul_dual(COMM), 5),
+        "hyperbolic_dual": (quadric_dual(HYPERBOLIC), 8),
+        "form_dual": (quadric_dual(FORM), 8),
+    }[name]
+    order = data.draw(st.permutations(range(len(p.relations))))
+    scales = data.draw(st.lists(NONZERO, min_size=len(p.relations),
+                                max_size=len(p.relations)))
+    q = QuadraticPresentation(p.generator_names,
+                              [[s * c for c in p.relations[k]] for k, s in zip(order, scales)])
+    a, b = build_table(p, degree), build_table(q, degree)
+    # canonical columns: equal maps are equal integer columns
+    assert (a.dims, a.words, a.left_cols, a.right_cols, a.period_start) == \
+        (b.dims, b.words, b.left_cols, b.right_cols, b.period_start)
