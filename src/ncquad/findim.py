@@ -1,5 +1,8 @@
 """Finite-dimensional associative algebras and their structure analysis.
 
+Every step runs on the integer table the constructor validates; spans
+and kernels ignore scaling, so integer rows go straight to SpanBuilder.
+
 Radical computation uses the trace-form criterion, valid over fields of
 characteristic zero: x lies in the radical exactly when trace(L_{x y})
 vanishes for every y.  Every radical returned here is cross-verified to
@@ -20,14 +23,14 @@ from .exactlin import (Matrix, SpanBuilder, combine, det, inverse, kernel_basis,
 class FinDimAlgebra:
     """Structure constants of a finite-dimensional unital algebra.
 
-    ``structure[i][j]`` holds the coordinates of basis_i * basis_j.  The
-    constructor verifies that the identity is a two-sided unit and that
-    associativity holds exactly on every basis triple.  The triples are
-    checked in integer arithmetic on the constants scaled by their common
-    denominator; ``structure`` itself keeps the rational constants.
+    ``structure[i][j]`` holds the coordinates of basis_i * basis_j, the
+    validated input; ``ints[i][j]`` is its integer row {k: num} times
+    ``den``, the lcm of their denominators.  The constructor checks on
+    ``ints`` that the identity is a two-sided unit and that associativity
+    holds on every basis triple; every later step reads only ``ints``.
     """
 
-    __slots__ = ("labels", "structure", "unit")
+    __slots__ = ("labels", "structure", "unit", "den", "ints")
 
     def __init__(self, labels, structure, unit):
         self.labels = tuple(str(x) for x in labels)
@@ -37,6 +40,9 @@ class FinDimAlgebra:
             raise ValueError("structure constant shape mismatch")
         self.structure = [[[qq(c) for c in vec] for vec in row] for row in structure]
         self.unit = [qq(c) for c in unit]
+        d = self.den = lcm(*{c.denominator for row in self.structure for vec in row for c in vec})
+        self.ints = [[{t: c.numerator * (d // c.denominator) for t, c in enumerate(vec) if c}
+                      for vec in row] for row in self.structure]
         self._validate()
 
     @property
@@ -46,33 +52,34 @@ class FinDimAlgebra:
     def basis_vector(self, i: int) -> list:
         return [qq(1) if k == i else qq(0) for k in range(self.dim)]
 
+    def product(self, x: dict, y: dict) -> dict:
+        """Integer row of den * x * y, for integer rows x and y ({index: nonzero int})."""
+        ints = self.ints
+        out: dict = {}
+        get = out.get
+        for i, a in x.items():
+            row = ints[i]
+            for j, b in y.items():
+                c = a * b
+                for k, s in row[j].items():
+                    out[k] = get(k, 0) + c * s
+        return {k: v for k, v in out.items() if v}
+
     def multiply(self, x: list, y: list) -> list:
-        n = self.dim
-        out = [qq(0)] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    c = xi * yj
-                    for k, s in enumerate(row[j]):
-                        if s:
-                            out[k] += c * s
-        return out
+        (dx, nx), (dy, ny) = to_column(x), to_column(y)
+        return to_dense((dx * dy * self.den, self.product(nx, ny)), self.dim)
 
     def _validate(self):
         n = self.dim
+        du, u = to_column(self.unit)
         for i in range(n):
-            e = self.basis_vector(i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
+            e, want = {i: 1}, {i: du * self.den}
+            if self.product(u, e) != want or self.product(e, u) != want:
                 raise ValueError("identity vector is not a two-sided unit")
         # Associativity is homogeneous of degree 2 in the constants, so
         # scaling every constant by a common denominator d scales both sides
         # of each triple by d^2: the integer identity is the rational one.
-        d = lcm(*{c.denominator for row in self.structure for vec in row for c in vec})
-        st = [[[(t, c.numerator * (d // c.denominator)) for t, c in enumerate(vec) if c]
-               for vec in row] for row in self.structure]
+        st = [[list(vec.items()) for vec in row] for row in self.ints]
         for i in range(n):
             sti = st[i]
             for j in range(n):
@@ -96,11 +103,12 @@ class FinDimAlgebra:
 
 def trace_gram(alg: FinDimAlgebra) -> Matrix:
     """Gram matrix T[i][j] = trace of left multiplication by basis_i basis_j."""
-    n = alg.dim
-    # trace of L_{b_v} for each v; traces extend linearly to products
-    tr = [sum(alg.structure[v][j][j] for j in range(n)) for v in range(n)]
-    return Matrix(n, n, [[sum(c * tr[v] for v, c in enumerate(alg.structure[i][j]) if c)
-                          for j in range(n)] for i in range(n)])
+    n, ints = alg.dim, alg.ints
+    # den * trace of L_{b_v} for each v; traces extend linearly to products
+    tr = [sum(ints[v][j].get(j, 0) for j in range(n)) for v in range(n)]
+    d2 = alg.den * alg.den
+    return Matrix._of(n, n, [[qq(sum(c * tr[v] for v, c in ints[i][j].items()), d2)
+                              for j in range(n)] for i in range(n)])
 
 
 def radical(alg: FinDimAlgebra) -> Matrix:
@@ -117,24 +125,24 @@ def radical(alg: FinDimAlgebra) -> Matrix:
 def _cross_verify_radical(alg: FinDimAlgebra, rad: Matrix) -> FinDimAlgebra:
     """Check rad is a nilpotent two-sided ideal; return the semisimple quotient."""
     n = alg.dim
-    rad_cols = rad.columns()
+    rad_rows = [to_column(c)[1] for c in rad.columns()]
     span = SpanBuilder(n)
-    for c in rad_cols:
-        span.add(c)
-    for c in rad_cols:
+    for r in rad_rows:
+        span.add_row(dict(r))
+    for r in rad_rows:
         for i in range(n):
-            e = alg.basis_vector(i)
-            if not span.contains(alg.multiply(e, c)) or not span.contains(alg.multiply(c, e)):
+            # a product outside the span enlarges it
+            if span.add_row(alg.product({i: 1}, r)) or span.add_row(alg.product(r, {i: 1})):
                 raise RuntimeError("radical cross-check failed: not a two-sided ideal")
-    power = rad_cols
+    power = rad_rows
     while power:
         nxt = SpanBuilder(n)
         for u in power:
-            for r in rad_cols:
-                nxt.add(alg.multiply(u, r))
+            for r in rad_rows:
+                nxt.add_row(alg.product(u, r))
         if nxt.rank >= len(power):
             raise RuntimeError("radical cross-check failed: ideal is not nilpotent")
-        power = nxt.basis
+        power = list(nxt.pivot_rows.values())
     quo, _ = quotient_by_subspace(alg, rad)
     if quo.dim and det(trace_gram(quo)) == 0:
         raise RuntimeError("radical cross-check failed: quotient trace form degenerate")
@@ -155,14 +163,10 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
     span = SpanBuilder(n)
     for c in ideal.columns():
         span.add(c)
-    complement = []
-    for j in range(n):
-        e = alg.basis_vector(j)
-        if span.add(e):
-            complement.append((j, e))
+    complement = [j for j in range(n) if span.add_row({j: 1})]
     if not complement:
         raise RuntimeError("quotient collapsed to zero; unital algebra expected")
-    p_cols = ideal.columns() + [e for _, e in complement]
+    p_cols = ideal.columns() + [alg.basis_vector(j) for j in complement]
     basis_change = Matrix.from_columns(p_cols, rows=n)
     inv = [to_column(c) for c in inverse(basis_change).columns()]
     r = ideal.cols
@@ -170,42 +174,38 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
     def project(vec: list) -> list:
         return to_dense(combine(inv, to_column(vec)), n)[r:]
 
-    labels = [alg.labels[j] for j, _ in complement]
-    structure = [[project(alg.multiply(e_i, e_j)) for _, e_j in complement]
-                 for _, e_i in complement]
+    labels = [alg.labels[j] for j in complement]
+    structure = [[to_dense(combine(inv, (alg.den, alg.ints[i][j])), n)[r:] for j in complement]
+                 for i in complement]
     unit = project(alg.unit)
     return FinDimAlgebra(labels, structure, unit), project
 
 
 def center_basis(alg: FinDimAlgebra) -> Matrix:
     """Columns spanning {x : xb = bx for all basis b}."""
-    n = alg.dim
-    rows = []
-    for i in range(n):
-        # row block: column u holds structure[u][i] - structure[i][u]
-        block = [[alg.structure[u][i][k] - alg.structure[i][u][k] for u in range(n)]
-                 for k in range(n)]
-        rows.extend(block)
+    n, ints = alg.dim, alg.ints
+    # row block i, row k: column u holds den * (b_u b_i - b_i b_u)_k
+    rows = [[ints[u][i].get(k, 0) - ints[i][u].get(k, 0) for u in range(n)]
+            for i in range(n) for k in range(n)]
     return kernel_basis(Matrix.from_rows(rows, cols=n))
 
 
 def commutator_ideal(alg: FinDimAlgebra) -> SpanBuilder:
     """Two-sided ideal generated by all commutators of basis elements."""
-    n = alg.dim
+    n, ints = alg.dim, alg.ints
     span = SpanBuilder(n)
     frontier = []
     for i in range(n):
         for j in range(i + 1, n):
-            c = [a - b for a, b in zip(alg.structure[i][j], alg.structure[j][i])]
-            if span.add(c):
+            c = {k: x for k in range(n) if (x := ints[i][j].get(k, 0) - ints[j][i].get(k, 0))}
+            if span.add_row(dict(c)):
                 frontier.append(c)
     while frontier:
         nxt = []
         for v in frontier:
             for i in range(n):
-                e = alg.basis_vector(i)
-                for w in (alg.multiply(e, v), alg.multiply(v, e)):
-                    if span.add(w):
+                for w in (alg.product({i: 1}, v), alg.product(v, {i: 1})):
+                    if span.add_row(dict(w)):
                         if span.rank == n:
                             return span
                         nxt.append(w)

@@ -103,7 +103,9 @@ class QuadraticPresentation:
             if key not in data:
                 raise ValueError("presentation has no %r key" % key)
         try:
-            names = [str(n) for n in data["generators"]]
+            names = data["generators"]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError("generators %r are not a list of strings" % (names,))
             index = {n: i for i, n in enumerate(names)}
             g = len(names)
             rels = []
@@ -111,8 +113,8 @@ class QuadraticPresentation:
                 vec = [qq(0)] * (g * g)
                 for term in terms:
                     word = term["word"]
-                    if len(word) != 2:
-                        raise ValueError("relation word %r is not quadratic" % (word,))
+                    if not isinstance(word, list) or len(word) != 2:
+                        raise ValueError("relation word %r is not a list of two names" % (word,))
                     unknown = [w for w in word if w not in index]
                     if unknown:
                         raise ValueError("relation word %r uses unknown generator %r"
@@ -350,9 +352,8 @@ class RegularityCertificate:
     ``repeated`` lists the degrees n >= max(2, period_start - 1), whose
     check was skipped: multiplication by z out of degree n is then the
     map of degree n - 2, already proved injective.  ``z_maps[n]`` holds the
-    integer columns of b -> z b = b z from degree n to n + 2 (``dims`` of
-    the table), for every checked n, the same list as n - 2 at a repeated
-    degree; ``right_maps`` are their Matrix views.
+    integer columns of b -> z b = b z from degree n to n + 2, for every
+    checked n, the same list as n - 2 at a repeated degree.
     """
 
     central: bool
@@ -363,10 +364,6 @@ class RegularityCertificate:
     side: str | None = None
     repeated: list[int] = field(default_factory=list)
     z_maps: list[list] = field(default_factory=list)
-    dims: list[int] = field(default_factory=list)
-
-    right_maps = cached_property(lambda self: _views(
-        self.z_maps, lambda n, cols: column_matrix(cols, self.dims[n + 2])))
 
     @property
     def ok(self) -> bool:
@@ -430,9 +427,8 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
             return RegularityCertificate(True, False, bound, failure_degree=n,
                                          witness=ker.column(0), side="left")
         z_maps.append(cols)
-    return RegularityCertificate(True, True, bound,
-                                 repeated=list(range(first_repeat, bound - 1)),
-                                 z_maps=z_maps, dims=table.dims)
+    return RegularityCertificate(True, True, bound, z_maps=z_maps,
+                                 repeated=list(range(first_repeat, bound - 1)))
 
 
 def koszul_identity_check(p: QuadraticPresentation, bound: int) -> list:

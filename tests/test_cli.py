@@ -141,6 +141,11 @@ BAD_PRESENTATIONS = {
                           "relations": [[{"coef": 0.5, "word": ["x", "y"]}]]},
     "bool_coefficient": {"generators": ["x", "y"],
                          "relations": [[{"coef": True, "word": ["x", "y"]}]]},
+    "string_generators": {"generators": "xy", "relations": []},
+    "object_generators": {"generators": {"x": 0, "y": 1}, "relations": []},
+    "nonstring_generators": {"generators": [1, 2], "relations": []},
+    "string_word": {"generators": ["x", "y"],
+                    "relations": [[{"coef": "1", "word": "xy"}]]},
 }
 
 

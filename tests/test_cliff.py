@@ -75,6 +75,32 @@ def test_dual_central_element_sklyanin():
     assert alg.dim == 8
 
 
+def _sklyanin_member(lam):
+    S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
+    table = build_table(S, 3)
+    centre = central_quadratic_space(table)
+    w1, w2 = (element_word_lift(table, centre.column(k), 2) for k in (0, 1))
+    return S, [a + qq(lam) * b for a, b in zip(w1, w2)]
+
+
+def _count_calls(monkeypatch, homes: dict) -> dict:
+    """Count calls to each named function of its home module, through every ncquad binding."""
+    counts = dict.fromkeys(homes, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncquad")]
+    for name, home in homes.items():
+        original = getattr(home, name)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting(name, original))
+    return counts
+
+
 # multiply, rref and det calls for HypersurfaceData plus clifford_with_scale
 # on a sklyanin_a member.  The graded tables eliminate through SpanBuilder's
 # integer rows, and regularity checks each z-map by the rank of its integer
@@ -88,25 +114,26 @@ def test_dual_central_element_sklyanin():
     ("5/9", {"multiply": 0, "rref": 5, "det": 1}),
 ], ids=["lambda-3", "lambda-5/9"])
 def test_member_work_counts(monkeypatch, lam, want):
-    S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
-    table = build_table(S, 3)
-    centre = central_quadratic_space(table)
-    w1, w2 = (element_word_lift(table, centre.column(k), 2) for k in (0, 1))
-    lift = [a + qq(lam) * b for a, b in zip(w1, w2)]
-    counts = dict.fromkeys(want, 0)
-
-    def counting(name, original):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return counted
-    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncquad")]
-    for name, home in (("multiply", qalg), ("rref", exactlin), ("det", exactlin)):
-        original = getattr(home, name)
-        for mod in modules:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting(name, original))
+    S, lift = _sklyanin_member(lam)
+    counts = _count_calls(monkeypatch, {"multiply": qalg, "rref": exactlin, "det": exactlin})
     clifford_with_scale(HypersurfaceData(S, lift))
+    assert counts == want
+
+
+# Elimination calls of analyze on C(A) of a sklyanin_a member (rref counts
+# the calls kernel_basis and inverse make).  A smooth member takes the
+# trace form's kernel, the center's kernel and the quotient trace form's
+# determinant, the quotient by a zero radical being C(A) itself; at the
+# singular lambda = 1 the quotient costs an inverse and a second center.
+@pytest.mark.parametrize("lam, want", [
+    ("3", {"rref": 2, "kernel_basis": 2, "inverse": 0, "det": 1}),
+    ("5/9", {"rref": 2, "kernel_basis": 2, "inverse": 0, "det": 1}),
+    ("1", {"rref": 4, "kernel_basis": 3, "inverse": 1, "det": 1}),
+], ids=["lambda-3", "lambda-5/9", "lambda-1"])
+def test_analyze_work_counts(monkeypatch, lam, want):
+    alg, _ = clifford_with_scale(HypersurfaceData(*_sklyanin_member(lam)))
+    counts = _count_calls(monkeypatch, dict.fromkeys(want, exactlin))
+    analyze(alg)
     assert counts == want
 
 

@@ -179,3 +179,13 @@ def test_radical_cross_check_runs_on_every_analysis():
         analyze(even_clifford_oracle(q))
     analyze(upper_triangular_2x2())
     analyze(split_commutative_2())
+
+
+def test_analysis_reads_only_the_integer_table():
+    # structure is the validated input; every step after the constructor
+    # reads the integer table, so analysis survives losing structure
+    for alg in (even_clifford_oracle(Q3), upper_triangular_2x2()):
+        want = analyze(alg).to_dict()
+        alg.structure = None
+        assert analyze(alg).to_dict() == want
+        assert alg.multiply(alg.unit, alg.unit) == alg.unit

@@ -1,5 +1,11 @@
-"""Differential tests of the associativity check against a plain Fraction loop."""
+"""Differential tests of findim's integer-table steps against plain Fraction loops.
 
+The reference functions below are the Fraction versions that read the
+rational structure constants directly; the ±1-skew test checks the
+center against a closed formula.
+"""
+
+import itertools
 import re
 from fractions import Fraction
 
@@ -10,9 +16,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ncquad.cliff import even_clifford_oracle  # noqa: E402
-from ncquad.exactlin import Matrix, inverse, qq  # noqa: E402
-from ncquad.findim import FinDimAlgebra  # noqa: E402
+from ncquad.cliff import HypersurfaceData, clifford_algebra, even_clifford_oracle  # noqa: E402
+from ncquad.exactlin import Matrix, SpanBuilder, inverse, kernel_basis, qq  # noqa: E402
+from ncquad.families import word_vector  # noqa: E402
+from ncquad.findim import (FinDimAlgebra, analyze, center_basis, commutator_ideal,  # noqa: E402
+                           radical, trace_gram)
+from ncquad.qalg import QuadraticPresentation  # noqa: E402
 
 
 def first_nonassociative_triple(structure):
@@ -46,17 +55,21 @@ NONZERO = RATIONAL.filter(bool)
 
 
 @st.composite
-def conjugated_even_cliffords(draw):
+def conjugated_even_cliffords(draw, forms=None):
     """An even Clifford algebra of a random rational form in a random rational basis.
 
-    The basis change P = U D L (unitriangular U and L, diagonal D) fixes the
-    first basis vector, so the unit stays (1, 0, ..., 0) while the other
-    structure constants pick up denominators.
+    The form is drawn from forms when given.  The basis change P = U D L
+    (unitriangular U and L, diagonal D) fixes the first basis vector, so the
+    unit stays (1, 0, ..., 0) while the other structure constants pick up
+    denominators.
     """
-    q = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(a, 4):
-            q[a][b] = q[b][a] = draw(RATIONAL)
+    if forms is not None:
+        q = draw(st.sampled_from(forms))
+    else:
+        q = [[None] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(a, 4):
+                q[a][b] = q[b][a] = draw(RATIONAL)
     alg = even_clifford_oracle(q)
     n = alg.dim
     upper = Matrix(n, n, [[draw(RATIONAL) if a < b else int(a == b) for b in range(n)]
@@ -87,3 +100,132 @@ def test_associativity_check_matches_fraction_reference(case, i, j, t, r):
     assert want is not None
     with pytest.raises(ValueError, match=re.escape("basis triple (%d, %d, %d)" % want)):
         FinDimAlgebra(labels, bad, unit)
+
+
+def ref_multiply(structure, x, y):
+    """Coordinates of x * y, summed term by term in Fractions."""
+    out = [Fraction(0)] * len(structure)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if yj:
+                c = xi * yj
+                for k, s in enumerate(structure[i][j]):
+                    if s:
+                        out[k] += c * s
+    return out
+
+
+def ref_trace_gram(structure):
+    n = len(structure)
+    tr = [sum(structure[v][j][j] for j in range(n)) for v in range(n)]
+    return Matrix(n, n, [[sum(c * tr[v] for v, c in enumerate(structure[i][j]) if c)
+                          for j in range(n)] for i in range(n)])
+
+
+def ref_center_basis(structure):
+    n = len(structure)
+    rows = [[structure[u][i][k] - structure[i][u][k] for u in range(n)]
+            for i in range(n) for k in range(n)]
+    return kernel_basis(Matrix.from_rows(rows, cols=n))
+
+
+def unit_vectors(n):
+    return [[Fraction(int(k == j)) for k in range(n)] for j in range(n)]
+
+
+def ref_commutator_span(structure):
+    """Span of the commutators, closed under multiplication by the basis on both sides."""
+    n = len(structure)
+    span = SpanBuilder(n)
+    frontier = [c for i in range(n) for j in range(i + 1, n)
+                if span.add(c := [a - b for a, b in zip(structure[i][j], structure[j][i])])]
+    while frontier and span.rank < n:
+        frontier = [w for v in frontier for e in unit_vectors(n)
+                    for w in (ref_multiply(structure, e, v), ref_multiply(structure, v, e))
+                    if span.add(w)]
+    return span
+
+
+def ref_quotient_structure(structure, ideal):
+    """Structure constants of the quotient on the standard-basis complement of ideal."""
+    n = len(structure)
+    span = SpanBuilder(n)
+    for c in ideal.columns():
+        span.add(c)
+    complement = [e for e in unit_vectors(n) if span.add(e)]
+    inv = inverse(Matrix.from_columns(ideal.columns() + complement, rows=n))
+
+    def project(v):
+        return [sum(a * b for a, b in zip(row, v)) for row in inv.entries][ideal.cols:]
+    return [[project(ref_multiply(structure, a, b)) for b in complement] for a in complement]
+
+
+def assert_matches_reference(alg, x, y):
+    """Each findim step on alg against the references; analyze against a report built from them."""
+    s, n = alg.structure, alg.dim
+    assert alg.multiply(x, y) == ref_multiply(s, x, y)
+    gram, center, span = ref_trace_gram(s), ref_center_basis(s), ref_commutator_span(s)
+    rad = kernel_basis(gram)
+    assert trace_gram(alg) == gram
+    assert center_basis(alg) == center
+    assert commutator_ideal(alg).rank == span.rank
+    assert radical(alg) == rad
+    ss_center = center.cols
+    if rad.cols:
+        ss_center = ref_center_basis(ref_quotient_structure(s, rad)).cols
+    for c in rad.columns():
+        span.add(c)
+    absent = span.rank == n
+    assert analyze(alg).to_dict() == {
+        "dim": n, "radical_dim": rad.cols, "center_dim": center.cols,
+        "ss_center_dim": ss_center, "one_dim_reps_absent": absent,
+        "ruling_count": ss_center if n == 8 and absent and ss_center in (1, 2) else "n/a",
+        "smooth": rad.cols == 0}
+
+
+DEGENERATE_FORMS = [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    [[0] * 4 for _ in range(4)],
+]
+VECTOR = st.lists(RATIONAL, min_size=8, max_size=8)
+
+
+@settings(max_examples=15, deadline=None)
+@given(conjugated_even_cliffords(), VECTOR, VECTOR)
+def test_analysis_matches_fraction_reference(case, x, y):
+    labels, structure = case
+    assert_matches_reference(FinDimAlgebra(labels, structure, [1] + [0] * 7), x, y)
+
+
+@settings(max_examples=15, deadline=None)
+@given(conjugated_even_cliffords(DEGENERATE_FORMS), VECTOR, VECTOR)
+def test_analysis_matches_fraction_reference_on_degenerate_forms(case, x, y):
+    labels, structure = case
+    assert_matches_reference(FinDimAlgebra(labels, structure, [1] + [0] * 7), x, y)
+
+
+def test_skew_commuting_quadrics_against_center_formula():
+    # x_i x_j = e_ij x_j x_i with z = sum x_i^2: C(A) is semisimple, and its
+    # center dimension counts the even subsets S of the generators with
+    # B S in {0, (1, 1, 1, 1)} over F_2, where B_ij = [e_ij = +1], B_ii = 0
+    pairs = list(itertools.combinations(range(4), 2))
+    z = word_vector(4, {(i, i): 1 for i in range(4)})
+    split = {}
+    for signs in itertools.product((1, -1), repeat=len(pairs)):
+        eps = dict(zip(pairs, signs))
+        S = QuadraticPresentation(["x0", "x1", "x2", "x3"],
+                                  [word_vector(4, {(i, j): 1, (j, i): -e})
+                                   for (i, j), e in eps.items()])
+        b = [[int(i != j and eps[min(i, j), max(i, j)] == 1) for j in range(4)]
+             for i in range(4)]
+        want = sum(1 for s in itertools.product((0, 1), repeat=4) if sum(s) % 2 == 0
+                   and len({sum(r * t for r, t in zip(row, s)) % 2 for row in b}) == 1)
+        report = analyze(clifford_algebra(HypersurfaceData(S, z)))
+        assert (report.radical_dim, report.center_dim) == (0, want), signs
+        key = (report.smooth, report.center_dim, report.to_dict()["ruling_count"])
+        split[key] = split.get(key, 0) + 1
+    assert split == {(True, 2, 2): 56, (True, 8, "n/a"): 8}

@@ -302,6 +302,12 @@ def test_quadric_dual_table_identity_through_degree_8(name):
         assert table.right[n] is table.right[n - 2]
 
 
+def column_matrix(cols, rows):
+    """Matrix of integer columns (den, {row: num}), built entry by entry."""
+    return Matrix(rows, len(cols), [[qq(nums.get(r, 0), den) for den, nums in cols]
+                                    for r in range(rows)])
+
+
 def _z_matrix(table, z, n, side):
     """Multiplication by z from degree n to n + 2 through the generator maps.
 
@@ -344,14 +350,15 @@ def test_regularity_certificate_against_direct_z_maps(name):
             for n in range(7) for side in ("left", "right")}
     for n in range(7):
         # z is central, so the one z-map the check builds serves both sides
-        assert cert.right_maps[n] == maps[n, "right"] == maps[n, "left"]
+        got = column_matrix(cert.z_maps[n], table.dims[n + 2])
+        assert got == maps[n, "right"] == maps[n, "left"]
         for side in ("left", "right"):
             assert rank(maps[n, side]) == table.dims[n]
     for n in cert.repeated:
         assert maps[n, "left"] == maps[n - 2, "left"]
         assert maps[n, "right"] == maps[n - 2, "right"]
-        assert cert.right_maps[n] is cert.right_maps[n - 2]
-    assert (cert.right_maps[6] is cert.right_maps[4]) == (6 in cert.repeated)
+        assert cert.z_maps[n] is cert.z_maps[n - 2]
+    assert (cert.z_maps[6] is cert.z_maps[4]) == (6 in cert.repeated)
 
 
 @pytest.mark.parametrize("name", sorted(DUAL8))
