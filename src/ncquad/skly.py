@@ -18,13 +18,14 @@ exactly as a function of the pencil parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import index
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     require_central)
 from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
-                       poly_eval, poly_gcd, poly_squarefree_degree, poly_trim,
-                       qq, qq_str)
+                       poly_eval, poly_gcd, poly_mul, poly_squarefree_degree,
+                       poly_trim, qq, qq_str)
 from .findim import analyze, trace_gram
 from .qalg import GradedTable, QuadraticPresentation, build_table
 
@@ -303,8 +304,22 @@ def _rational_fit(points: list, dp: int, dq: int):
 
 
 def min_samples(degree_bound: int) -> int:
-    """Fewest usable samples a scan accepts: 2d + 2 to fit, 3 held out."""
-    return 2 * degree_bound + 5
+    """Fewest usable samples a scan accepts at degree bound d.
+
+    The scan fits the square root of its values at degrees at most
+    (h, h), h = ceil(d / 2): 2h + 2 samples to fit, 3 held out.
+    """
+    return 2 * ((degree_bound + 1) // 2) + 5
+
+
+def _square_root(r):
+    """The nonnegative rational square root of r, or None if r has none."""
+    if r < 0:
+        return None
+    num, den = isqrt(r.numerator), isqrt(r.denominator)
+    if num * num != r.numerator or den * den != r.denominator:
+        return None
+    return qq(num, den)
 
 
 def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
@@ -315,19 +330,35 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     At each sample t the 8-dimensional invariant algebra of S/(z_t) is
     built and the determinant of its trace Gram matrix evaluated
     exactly, normalized by the square of the w^2-pullback determinant so
-    the value does not depend on the scale of w.  Samples whose
+    the value v(t) does not depend on the scale of w.  Samples whose
     construction fails, or whose normal-word basis pattern differs from
     the majority, are skipped and recorded.
 
     The basis pattern can make the values rational rather than
     polynomial in t (their denominator tracks pattern changes outside
-    the sample set).  So they are fit by one reduced ratio of
-    polynomials of degrees at most (d, d), d = degree_bound, through
-    the first 2d + 2 usable samples and checked on the rest, which must
-    number at least three: min_samples(d) = 2d + 5.  A repeated value
-    would leave the fit underdetermined, so the samples must be distinct
-    as rationals.  mode is "polynomial" when the reduced denominator is
-    1, else "rational".
+    the sample set), so v is one reduced ratio of polynomials of degrees
+    at most (d, d), d = degree_bound.  It is reconstructed through its
+    square root.  On every pencil checked, v(t) = c D(t)^4 / L(t)^16
+    with deg D = 4 and L the form whose vanishing changes the pattern (a
+    change of basis scales a trace-form discriminant by a square).  Let
+    v0 be the value of the first used sample t0 that is nonzero; any
+    would do, the first keeps the choice fixed.  Then v / v0 is the
+    square of s = (D L(t0)^4 / (D(t0) L^4))^2.  The sign is safe: s is
+    itself a square, never negative at a rational t, so the nonnegative
+    root of v / v0, taken exactly with isqrt on numerator and
+    denominator, is s(t) and not |s(t)| of a function that changes sign.
+    s is fit by one reduced ratio P / Q of degrees at most (h, h),
+    h = ceil(d / 2), through the first 2h + 2 roots and checked at every
+    used sample, fit points included; three are held out, so
+    min_samples(d) = 2h + 5.  Squared back, the numerator is v0 P^2 and
+    the denominator Q^2, monic as Q is: the unique reduced ratio of v,
+    the one a fit at degrees (d, d) finds.  PencilError is raised when
+    all values vanish, when a ratio v / v0 is negative or not a rational
+    square (naming the sample), when the fit misses a used sample and
+    when its square exceeds degree d.  A repeated value would leave the
+    fit underdetermined, so the samples must be distinct as rationals.
+    mode is "polynomial" when the reduced denominator is 1, else
+    "rational".
     Distinct roots of the numerator over the closure are counted through
     its squarefree part; the member at infinity (omega2 alone) is
     analyzed separately and merged into the count.
@@ -369,16 +400,26 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         raise PencilError("need at least %d usable samples at degree bound %d, have %d"
                           % (need, d, len(points)))
 
-    fit = _rational_fit(points[:2 * d + 2], d, d)
-    if fit is None or not all(poly_eval(fit[0], x) == v * poly_eval(fit[1], x)
-                              for x, v in points[2 * d + 2:]):
+    v0 = next((v for _, v in points if v), None)
+    if v0 is None:
+        raise PencilError("trace-form determinant vanishes identically on the pencil")
+    roots = []
+    for lam, v in points:
+        root = _square_root(v / v0)
+        if root is None:
+            raise PencilError("value at sample %s is not %s times the square of a rational"
+                              % (qq_str(lam), qq_str(v0)))
+        roots.append((lam, root))
+    h = (d + 1) // 2
+    fit = _rational_fit(roots[:2 * h + 2], h, h)
+    if fit is None or 2 * max(map(poly_degree, fit)) > d or not all(
+            poly_eval(fit[0], x) == s * poly_eval(fit[1], x) for x, s in roots):
         raise PencilError(
             "interpolation inconsistent at degree bound %d (raise the bound "
             "or change the sample set)" % d)
-    numerator, denominator = fit
+    numerator = [v0 * c for c in poly_mul(fit[0], fit[0])]
+    denominator = poly_mul(fit[1], fit[1])
     mode = "polynomial" if denominator == [1] else "rational"
-    if not numerator:
-        raise PencilError("trace-form determinant vanishes identically on the pencil")
 
     sq_degree = poly_squarefree_degree(numerator)
 

@@ -106,7 +106,7 @@ def test_noncentral_z_exit_code(argv, generator):
 
 
 @pytest.mark.parametrize("flags", [["--samples", "10"], ["--degree-bound", "-2"],
-                                   ["--samples", "36"]],
+                                   ["--samples", "20"]],
                          ids=["too-few-samples", "negative-degree-bound",
                               "one-below-fit-bound"])
 def test_pencil_bad_flags_exit_code(flags):

@@ -2,9 +2,10 @@ import pytest
 
 from ncquad import skly
 from ncquad.cliff import HypothesisViolation
-from ncquad.exactlin import qq
+from ncquad.exactlin import kernel_basis, qq
 from ncquad.families import (commutative_presentation, sklyanin_gamma,
-                             sklyanin_presentation, word_vector)
+                             sklyanin_presentation, symmetric_form_to_element,
+                             word_vector)
 from ncquad.qalg import build_table, central_quadratic_space, element_word_lift
 from ncquad.skly import (INFINITY, Curve, ECPoint, PencilError, SecantLine,
                          fat_point_h0, pencil_discriminant)
@@ -212,9 +213,9 @@ def test_pencil_short_sample_list_builds_no_member(monkeypatch):
         pencil_discriminant(comm, q1, q2, list(range(10)), 16)
 
 
-def test_pencil_needs_two_d_plus_five_samples(monkeypatch):
-    # the one fit has degrees up to (d, d): d + 4 = 7 samples at d = 3 prove
-    # nothing, and the scan refuses 8 < 2d + 5 before building a member
+def test_pencil_refuses_one_below_min_samples(monkeypatch):
+    # the fit of the square root has degrees up to (h, h), h = ceil(d / 2):
+    # at d = 3 the scan refuses 8 < 2h + 5 = 9 before building a member
     def no_member(*args):
         raise AssertionError("a member was built")
     monkeypatch.setattr(skly, "_scan_sample", no_member)
@@ -225,9 +226,9 @@ def test_pencil_needs_two_d_plus_five_samples(monkeypatch):
 
 
 def test_pencil_rejects_repeated_samples(monkeypatch):
-    # 18 samples pass the count 2d + 5 = 13, but only 6 values are distinct,
-    # and a fit through repeated values is underdetermined; values compare
-    # as rationals, so "12/1" repeats 12
+    # 18 samples pass the count 2 ceil(d / 2) + 5 = 9, but only 6 values are
+    # distinct, and a fit through repeated values is underdetermined; values
+    # compare as rationals, so "12/1" repeats 12
     def no_member(*args):
         raise AssertionError("a member was built")
     monkeypatch.setattr(skly, "_scan_sample", no_member)
@@ -247,3 +248,114 @@ def test_pencil_rejects_noncentral():
     omega = element_word_lift(table, central_quadratic_space(table).column(0), 2)
     with pytest.raises(HypothesisViolation):
         pencil_discriminant(skly, omega, not_central, list(range(10)), 3, table=table)
+
+
+def _sklyanin_a_pencil():
+    pres = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
+    table = build_table(pres, 3)
+    center = central_quadratic_space(table)
+    return (pres, element_word_lift(table, center.column(0), 2),
+            element_word_lift(table, center.column(1), 2), table)
+
+
+def _control_pencil():
+    # the commutative control pencil of the benchmark's pencil workload at
+    # seed 1: the hyperbolic form plus t times a dense full-rank form
+    hyperbolic = [[0, 0, 0, qq(1, 2)], [0, 0, qq(-1, 2), 0],
+                  [0, qq(-1, 2), 0, 0], [qq(1, 2), 0, 0, 0]]
+    form = [[3, -2, 1, -2], [-2, 3, -2, -1], [1, -2, -1, -2], [-2, -1, -2, -3]]
+    return (commutative_presentation(), symmetric_form_to_element(hyperbolic),
+            symmetric_form_to_element(form), None)
+
+
+CONTROL_SAMPLES = [0, 1, 2, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20,
+                   21, 22, 23, 24, 26, 27, 28, 29, 30, 31, 32, 33, 34, 36, 37, 38,
+                   39, 40, 41, 42, 43, 44, 45, 47]
+
+
+@pytest.mark.parametrize("pencil, samples", [(_sklyanin_a_pencil, list(range(42))),
+                                             (_control_pencil, CONTROL_SAMPLES)],
+                         ids=["sklyanin_a", "control"])
+def test_root_fit_matches_direct_fit(pencil, samples):
+    # reference: the direct fit of the values at degrees (d, d) through the
+    # first 2d + 2 used samples, as the scan made it before fitting the root
+    S, omega1, omega2, table = pencil()
+    report = pencil_discriminant(S, omega1, omega2, samples, 16, table=table)
+    assert report.distinct_root_count == 4
+    assert skly._rational_fit(report.sample_values[:34], 16, 16) == (
+        report.numerator, report.denominator)
+
+
+def _patched_scan(monkeypatch, values):
+    """Make the scan read the given values, in sample order, one pattern."""
+    it = iter(values)
+    monkeypatch.setattr(skly, "_scan_sample", lambda S, lift: (next(it), ()))
+
+
+def _comm_pencil():
+    q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
+    q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
+    return commutative_presentation(), q1, q2
+
+
+def test_scan_with_zero_first_value_fits(monkeypatch):
+    # v = (t + 2)^2 vanishes at the first sample; v0 is the next value
+    samples = list(range(-2, 7))
+    _patched_scan(monkeypatch, [qq(lam + 2) ** 2 for lam in samples])
+    report = pencil_discriminant(*_comm_pencil(), samples, 4)
+    assert report.sample_values[0] == (-2, 0)
+    assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
+    assert report.mode == "polynomial"
+    assert report.squarefree_degree == 1
+
+
+def test_fit_is_checked_at_every_fit_point(monkeypatch):
+    # the fit point t = 0 reads 4 v(0), so its root is 4, not 2; t (t + 2) / t
+    # solves the fit system (both sides vanish at t = 0) and reduces to t + 2,
+    # which agrees with every held-out sample: only the check at the fit
+    # points refuses it
+    samples = list(range(-2, 7))
+    values = [qq(lam + 2) ** 2 for lam in samples]
+    values[2] *= 4
+    _patched_scan(monkeypatch, values)
+    with pytest.raises(PencilError, match="inconsistent"):
+        pencil_discriminant(*_comm_pencil(), samples, 4)
+
+
+@pytest.mark.parametrize("values", [[qq(lam + 2) for lam in range(1, 10)],
+                                    [qq(1)] + [qq(-lam * lam) for lam in range(2, 10)]],
+                         ids=["not-a-square", "negative"])
+def test_ratio_that_is_no_square_names_the_sample(monkeypatch, values):
+    # v0 = v(1); at t = 2 the ratio v / v0 is 4/3, or -4
+    _patched_scan(monkeypatch, values)
+    with pytest.raises(PencilError, match="at sample 2 is not"):
+        pencil_discriminant(*_comm_pencil(), list(range(1, 10)), 4)
+
+
+def test_square_of_degree_above_the_bound_is_refused(monkeypatch):
+    # s = ((t + 2) / (t + 30))^8 fits at h = 8 for d = 15 and d = 16, but its
+    # square has degree 16, inside the bound only at d = 16
+    samples = list(range(21))
+    values = [qq(lam + 2, lam + 30) ** 16 for lam in samples]
+    _patched_scan(monkeypatch, values)
+    report = pencil_discriminant(*_comm_pencil(), samples, 16)
+    assert len(report.numerator) == len(report.denominator) == 17
+    _patched_scan(monkeypatch, values)
+    with pytest.raises(PencilError, match="inconsistent at degree bound 15"):
+        pencil_discriminant(*_comm_pencil(), samples, 15)
+
+
+def test_fit_solves_the_half_degree_system(monkeypatch):
+    # the only kernel_basis call of the fit has 2 ceil(d / 2) + 2 columns,
+    # not the 2d + 2 of a fit of the values themselves
+    samples = list(range(21))
+    _patched_scan(monkeypatch, [7 * qq(lam + 2, lam + 30) ** 4 for lam in samples])
+    cols = []
+
+    def counted(m):
+        cols.append(m.cols)
+        return kernel_basis(m)
+    monkeypatch.setattr(skly, "kernel_basis", counted)
+    report = pencil_discriminant(*_comm_pencil(), samples, 16)
+    assert cols == [18]
+    assert report.squarefree_degree == 1
