@@ -268,6 +268,9 @@ def _cmd_pencil(args) -> int:
         "squarefree degree: %d" % report.squarefree_degree,
         "member at infinity singular: %s" % report.infinity_singular,
         "distinct singular members: %d" % report.distinct_root_count,
+        "fit degree %d, agreeing %d of %d needed, certified %s"
+        % (report.fit_degree, len(report.sample_values),
+           args.degree_bound + report.fit_degree + 1, "yes" if report.certified else "no"),
     ])
     return 0
 

@@ -84,6 +84,12 @@ class Matrix:
         return m
 
     @classmethod
+    def of_integers(cls, rows: list, cols: int) -> "Matrix":
+        """Wrap rows of Python ints uncoerced, for elimination (rref, kernel_basis,
+        det), which reads each entry's numerator and denominator as they are."""
+        return cls._of(len(rows), cols, rows)
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._of(rows, cols, [[ZERO] * cols for _ in range(rows)])
 

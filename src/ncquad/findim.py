@@ -187,7 +187,7 @@ def center_basis(alg: FinDimAlgebra) -> Matrix:
     # row block i, row k: column u holds den * (b_u b_i - b_i b_u)_k
     rows = [[ints[u][i].get(k, 0) - ints[i][u].get(k, 0) for u in range(n)]
             for i in range(n) for k in range(n)]
-    return kernel_basis(Matrix.from_rows(rows, cols=n))
+    return kernel_basis(Matrix.of_integers(rows, n))
 
 
 def commutator_ideal(alg: FinDimAlgebra) -> SpanBuilder:

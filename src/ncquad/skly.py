@@ -18,13 +18,13 @@ exactly as a function of the pencil parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 from operator import index
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     require_central)
 from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
-                       poly_eval, poly_gcd, poly_mul, poly_squarefree_degree,
+                       poly_gcd, poly_mul, poly_squarefree_degree,
                        poly_trim, qq, qq_str)
 from .findim import analyze, trace_gram
 from .qalg import GradedTable, QuadraticPresentation, build_table
@@ -244,13 +244,15 @@ class PencilReport:
     """Outcome of the pencil discriminant scan."""
 
     sample_values: list          # (lambda, value) pairs actually used
-    skipped: list                # (lambda, reason)
+    skipped: list                # (lambda, reason), of the members built
     mode: str                    # "polynomial" iff the denominator is [1], else "rational"
     numerator: list              # coefficients, ascending degree
     denominator: list            # monic
     squarefree_degree: int
     infinity_singular: bool
     distinct_root_count: int
+    fit_degree: int              # e = max(deg numerator, deg denominator)
+    certified: bool              # at least d + e + 1 used samples agree with the fit
 
     def to_dict(self) -> dict:
         return {
@@ -262,6 +264,8 @@ class PencilReport:
             "squarefree_degree": self.squarefree_degree,
             "infinity_singular": self.infinity_singular,
             "distinct_root_count": self.distinct_root_count,
+            "fit_degree": self.fit_degree,
+            "certified": self.certified,
         }
 
 
@@ -279,15 +283,22 @@ def _rational_fit(points: list, dp: int, dq: int):
 
     Returns None when no nonzero solution exists at these degree bounds.
     Needs len(points) >= dp + dq + 1 so the reduced solution is unique
-    up to scale; the denominator is normalized monic.
+    up to scale; the denominator is normalized monic.  The row of a point
+    x = a / b is scaled by b^max(dp, dq) and the denominator of v, which
+    leaves its kernel alone and makes every entry an integer.
     """
+    m = max(dp, dq)
     rows = []
     for x, v in points:
-        powers = [qq(1)]
-        for _ in range(max(dp, dq)):
-            powers.append(powers[-1] * x)
-        rows.append(powers[:dp + 1] + [-v * powers[k] for k in range(dq + 1)])
-    ker = kernel_basis(Matrix.from_rows(rows, cols=dp + dq + 2))
+        x, v = qq(x), qq(v)
+        a, b = [1], [1]
+        for _ in range(m):
+            a.append(a[-1] * x.numerator)
+            b.append(b[-1] * x.denominator)
+        powers = [a[k] * b[m - k] for k in range(m + 1)]
+        rows.append([v.denominator * p for p in powers[:dp + 1]]
+                    + [-v.numerator * p for p in powers[:dq + 1]])
+    ker = kernel_basis(Matrix.of_integers(rows, dp + dq + 2))
     if ker.cols == 0:
         return None
     sol = ker.column(0)
@@ -322,6 +333,72 @@ def _square_root(r):
     return qq(num, den)
 
 
+def _inconsistent(degree_bound: int) -> PencilError:
+    return PencilError("interpolation inconsistent at degree bound %d (raise the bound "
+                       "or change the sample set)" % degree_bound)
+
+
+class _RootFit:
+    """v = v0 (P / Q)^2, fit through the exact square roots of the given values.
+
+    v0 is the first nonzero value; P / Q is reduced, Q monic, of degrees
+    at most (h, h), h = ceil(d / 2), and equals sqrt(v / v0) at every
+    given point.  numerator = v0 P^2 and denominator = Q^2 are the fit
+    squared back, and degree, e = 2 max(deg P, deg Q), is theirs.
+    Checks evaluate P and Q, scaled to integer coefficient lists of one
+    length, at x = a / b by integer Horner steps in a and b.
+    """
+
+    def __init__(self, points: list, degree_bound: int):
+        v0 = next((v for _, v in points if v), None)
+        if v0 is None:
+            raise PencilError("trace-form determinant vanishes identically on the pencil")
+        roots = []
+        for lam, v in points:
+            root = _square_root(v / v0)
+            if root is None:
+                raise PencilError("value at sample %s is not %s times the square of a rational"
+                                  % (qq_str(lam), qq_str(v0)))
+            roots.append((lam, root))
+        h = (degree_bound + 1) // 2
+        fit = _rational_fit(roots, h, h)
+        if fit is None or 2 * max(map(poly_degree, fit)) > degree_bound:
+            raise _inconsistent(degree_bound)
+        p, q = fit
+        self.v0, self.degree = v0, 2 * max(map(poly_degree, fit))
+        self.numerator = [v0 * c for c in poly_mul(p, p)]
+        self.denominator = poly_mul(q, q)
+        scale = lcm(*[c.denominator for c in p + q])
+        k = max(len(p), len(q))
+        self._ints = [[(c * scale).numerator for c in f] + [0] * (k - len(f)) for f in fit]
+        for x, s in roots:
+            px, qx = self._at(x)
+            if px * s.denominator != s.numerator * qx:
+                raise _inconsistent(degree_bound)
+
+    def _at(self, x) -> list:
+        """[P(x), Q(x)], both times the same nonzero integer."""
+        a, b = x.numerator, x.denominator
+        out = []
+        for f in self._ints:
+            acc, bpow = 0, 1
+            for c in reversed(f):
+                acc = acc * a + c * bpow
+                bpow *= b
+            out.append(acc)
+        return out
+
+    def check(self, lam, v):
+        """Raise PencilError naming lam unless v Q(lam)^2 = v0 P(lam)^2."""
+        p, q = self._at(lam)
+        if p * p * self.v0.numerator * v.denominator != q * q * v.numerator * self.v0.denominator:
+            raise PencilError("value at sample %s disagrees with the fit of degree %d"
+                              % (qq_str(lam), self.degree))
+
+
+PATTERN_SKIP = "normal-word basis pattern differs from majority"
+
+
 def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                         samples, degree_bound: int,
                         table: GradedTable | None = None) -> PencilReport:
@@ -330,35 +407,53 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     At each sample t the 8-dimensional invariant algebra of S/(z_t) is
     built and the determinant of its trace Gram matrix evaluated
     exactly, normalized by the square of the w^2-pullback determinant so
-    the value v(t) does not depend on the scale of w.  Samples whose
-    construction fails, or whose normal-word basis pattern differs from
-    the majority, are skipped and recorded.
+    the value v(t) does not depend on the scale of w.  Members are built
+    one at a time, in the order given, and the scan stops as soon as the
+    fit below is proved; samples after that are never built.
 
     The basis pattern can make the values rational rather than
     polynomial in t (their denominator tracks pattern changes outside
-    the sample set), so v is one reduced ratio of polynomials of degrees
-    at most (d, d), d = degree_bound.  It is reconstructed through its
-    square root.  On every pencil checked, v(t) = c D(t)^4 / L(t)^16
-    with deg D = 4 and L the form whose vanishing changes the pattern (a
-    change of basis scales a trace-form discriminant by a square).  Let
-    v0 be the value of the first used sample t0 that is nonzero; any
-    would do, the first keeps the choice fixed.  Then v / v0 is the
-    square of s = (D L(t0)^4 / (D(t0) L^4))^2.  The sign is safe: s is
-    itself a square, never negative at a rational t, so the nonnegative
-    root of v / v0, taken exactly with isqrt on numerator and
+    the sample set), so v is one reduced ratio N / M of polynomials of
+    degrees at most (d, d), d = degree_bound.  It is reconstructed
+    through its square root.  On every pencil checked, v(t) = c D(t)^4 /
+    L(t)^16 with deg D = 4 and L the form whose vanishing changes the
+    pattern (a change of basis scales a trace-form discriminant by a
+    square).  Let v0 be the value of the first fit sample t0 that is
+    nonzero; any would do, the first keeps the choice fixed.  Then v / v0
+    is the square of s = (D L(t0)^4 / (D(t0) L^4))^2.  The sign is safe:
+    s is itself a square, never negative at a rational t, so the
+    nonnegative root of v / v0, taken exactly with isqrt on numerator and
     denominator, is s(t) and not |s(t)| of a function that changes sign.
-    s is fit by one reduced ratio P / Q of degrees at most (h, h),
-    h = ceil(d / 2), through the first 2h + 2 roots and checked at every
-    used sample, fit points included; three are held out, so
-    min_samples(d) = 2h + 5.  Squared back, the numerator is v0 P^2 and
-    the denominator Q^2, monic as Q is: the unique reduced ratio of v,
-    the one a fit at degrees (d, d) finds.  PencilError is raised when
-    all values vanish, when a ratio v / v0 is negative or not a rational
-    square (naming the sample), when the fit misses a used sample and
-    when its square exceeds degree d.  A repeated value would leave the
-    fit underdetermined, so the samples must be distinct as rationals.
-    mode is "polynomial" when the reduced denominator is 1, else
-    "rational".
+
+    Main pattern: the first normal-word pattern to reach 2h + 2 usable
+    samples, h = ceil(d / 2).  Samples whose construction fails, and
+    members of any other pattern, are skipped and recorded.  s is fit by
+    one reduced ratio P / Q of degrees at most (h, h) through those
+    2h + 2 roots and checked at each of them.  If all 2h + 2 values are
+    zero, v vanishes identically, since 2h + 2 > d zeros of N force
+    N = 0.  Squared back, the numerator is v0 P^2 and the denominator
+    Q^2, monic as Q is; e = 2 max(deg P, deg Q) is their degree.
+
+    Stop rule: each later member of the main pattern must satisfy
+    v Q^2 = v0 P^2, and the scan stops once the main pattern has
+    max(min_samples(d), d + e + 1) samples.  Proof: N Q^2 - v0 P^2 M
+    has degree at most d + e and vanishes at every agreeing sample,
+    where Q is nonzero (Q(t) = 0 would force P(t) = 0, but P and Q are
+    coprime); so d + e + 1 agreeing samples prove v = v0 P^2 / Q^2
+    identically, and the report says so in certified.  A scan that runs
+    out of samples first reports as long as it has min_samples(d) = 2h
+    + 5 (three held out past the fit), with certified false.  The
+    reduced ratio is unique, so it is the one a fit at degrees (d, d)
+    finds.
+
+    PencilError is raised when the values vanish identically, when a
+    fit ratio v / v0 is negative or not a rational square (naming the
+    sample), when the fit misses a fit point or its square exceeds
+    degree d, when a later sample disagrees with it (naming the sample)
+    and when the main pattern ends with fewer than min_samples(d)
+    samples.  A repeated value would leave the fit underdetermined, so
+    the samples must be distinct as rationals.  mode is "polynomial"
+    when the reduced denominator is 1, else "rational".
     Distinct roots of the numerator over the closure are counted through
     its squarefree part; the member at infinity (omega2 alone) is
     analyzed separately and merged into the count.
@@ -378,50 +473,41 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         raise PencilError("need at least %d samples at degree bound %d, have %d"
                           % (need, d, len(samples)))
 
-    skipped = []
-    patterns: dict = {}
+    fit_size = 2 * ((d + 1) // 2) + 2
+    built = []            # (lambda, pattern, value) per member; (lambda, None, reason) if it failed
+    counts: dict = {}
+    main = fit = None
+    points: list = []
     for lam in samples:
         lift = [a + lam * b for a, b in zip(omega1_lift, omega2_lift)]
         try:
             value, pattern = _scan_sample(S, lift)
         except HypothesisViolation as exc:
-            skipped.append((lam, str(exc)))
+            built.append((lam, None, str(exc)))
             continue
-        patterns.setdefault(pattern, []).append((lam, value))
-    if not patterns:
+        built.append((lam, pattern, value))
+        if fit is None:
+            counts[pattern] = counts.get(pattern, 0) + 1
+            if counts[pattern] < fit_size:
+                continue
+            main = pattern
+            points = [(x, v) for x, p, v in built if p == main]
+            fit = _RootFit(points, d)
+            stop = max(need, d + fit.degree + 1)
+        elif pattern == main:
+            fit.check(lam, value)
+            points.append((lam, value))
+            if len(points) == stop:
+                break
+    if not counts:
         raise PencilError("no sample admitted the construction")
-    main_pattern = max(patterns, key=lambda k: len(patterns[k]))
-    points = patterns.pop(main_pattern)
-    for pts in patterns.values():
-        for lam, _ in pts:
-            skipped.append((lam, "normal-word basis pattern differs from majority"))
-
     if len(points) < need:
         raise PencilError("need at least %d usable samples at degree bound %d, have %d"
-                          % (need, d, len(points)))
+                          % (need, d, len(points) or max(counts.values())))
 
-    v0 = next((v for _, v in points if v), None)
-    if v0 is None:
-        raise PencilError("trace-form determinant vanishes identically on the pencil")
-    roots = []
-    for lam, v in points:
-        root = _square_root(v / v0)
-        if root is None:
-            raise PencilError("value at sample %s is not %s times the square of a rational"
-                              % (qq_str(lam), qq_str(v0)))
-        roots.append((lam, root))
-    h = (d + 1) // 2
-    fit = _rational_fit(roots[:2 * h + 2], h, h)
-    if fit is None or 2 * max(map(poly_degree, fit)) > d or not all(
-            poly_eval(fit[0], x) == s * poly_eval(fit[1], x) for x, s in roots):
-        raise PencilError(
-            "interpolation inconsistent at degree bound %d (raise the bound "
-            "or change the sample set)" % d)
-    numerator = [v0 * c for c in poly_mul(fit[0], fit[0])]
-    denominator = poly_mul(fit[1], fit[1])
-    mode = "polynomial" if denominator == [1] else "rational"
-
-    sq_degree = poly_squarefree_degree(numerator)
+    skipped = [(lam, x if p is None else PATTERN_SKIP) for lam, p, x in built if p != main]
+    mode = "polynomial" if fit.denominator == [1] else "rational"
+    sq_degree = poly_squarefree_degree(fit.numerator)
 
     inf_report = analyze(clifford_with_scale(HypersurfaceData(S, omega2_lift))[0])
     infinity_singular = not inf_report.smooth
@@ -430,9 +516,11 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         sample_values=points,
         skipped=skipped,
         mode=mode,
-        numerator=numerator,
-        denominator=denominator,
+        numerator=fit.numerator,
+        denominator=fit.denominator,
         squarefree_degree=sq_degree,
         infinity_singular=infinity_singular,
         distinct_root_count=sq_degree + (1 if infinity_singular else 0),
+        fit_degree=fit.degree,
+        certified=len(points) >= d + fit.degree + 1,
     )

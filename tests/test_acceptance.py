@@ -7,7 +7,7 @@ lines alongside the pytest report.
 import itertools
 import time
 
-from ncquad import kzero
+from ncquad import kzero, skly
 from ncquad.cliff import (HypersurfaceData, clifford_algebra, compare_invariants,
                           even_clifford_oracle, verify_matrix_factorization)
 from ncquad.exactlin import (LaurentPoly, Matrix, RationalSeries, det, expand,
@@ -127,21 +127,31 @@ def _control_oracle_count():
     return poly_squarefree_degree(pencil_poly) + (1 if inf_singular else 0)
 
 
-def test_criterion_06_pencil_algebraic_route():
+def test_criterion_06_pencil_algebraic_route(monkeypatch):
+    # the scan stops once d + e + 1 = 49 members agree with a fit of degree
+    # e = 16: 49 sklyanin members, and 50 control ones, as lambda = 0 has
+    # another normal-word pattern
+    built = []
+    scan_sample = skly._scan_sample
+    monkeypatch.setattr(skly, "_scan_sample",
+                        lambda S, lift: built.append(S) or scan_sample(S, lift))
     t0 = time.monotonic()
     samples = list(range(74))
     control = pencil_discriminant(COMM, FOUR_FORMS["hyperbolic"],
                                   FOUR_FORMS["rank4"], samples, 32)
     ok = control.distinct_root_count == _control_oracle_count()
+    ok = ok and len(built) <= 50
 
     pres = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
     table = build_table(pres, 3)
     center = central_quadratic_space(table)
     omega1 = element_word_lift(table, center.column(0), 2)
     omega2 = element_word_lift(table, center.column(1), 2)
+    built.clear()
     skly_report = pencil_discriminant(pres, omega1, omega2, samples, 32,
                                       table=table)
     ok = ok and skly_report.distinct_root_count == 4
+    ok = ok and skly_report.certified and len(built) <= 49
     _verdict(6, "pencil scan: control matches 4x4 determinant oracle, "
                 "elliptic pencil has 4 singular members",
              ok, time.monotonic() - t0, budget=600)

@@ -277,6 +277,23 @@ def test_pencil_command(capsys):
     root = qq(5, 9)
     assert [qq(c) for c in payload["denominator"]] == [
         math.comb(16, k) * (-root) ** (16 - k) for k in range(17)]
+    # the scan stops once d + e + 1 = 33 members agree with the fit
+    assert len(payload["samples"]) == 33
+    assert (payload["fit_degree"], payload["certified"]) == (16, True)
+
+
+def test_pencil_below_the_certificate_still_reports(capsys):
+    # 21 = min_samples(16) samples fit, but 33 are needed to certify
+    code, out = run(capsys, "pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1",
+                    "--samples", "21", "--degree-bound", "16", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (len(payload["samples"]), payload["certified"]) == (21, False)
+    assert payload["distinct_root_count"] == 4
+    code, out = run(capsys, "pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1",
+                    "--samples", "21", "--degree-bound", "16")
+    assert code == 0
+    assert "fit degree 16, agreeing 21 of 33 needed, certified no" in out.splitlines()
 
 
 def test_human_output_lines(capsys):

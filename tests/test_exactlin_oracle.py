@@ -100,6 +100,19 @@ def test_rref_and_kernel_match_sympy(case):
 
 
 @settings(max_examples=150, deadline=None)
+@given(grids(entry=st.builds(qq, st.integers(-2**40, 2**40))))
+def test_integer_rows_give_the_same_elimination(case):
+    # rows of Python ints, handed over uncoerced, reduce to the same QQ entries
+    rows, cols, grid = case
+    ints = Matrix.of_integers([[int(x) for x in row] for row in grid], cols)
+    m = Matrix(rows, cols, grid)
+    assert rref(ints) == rref(m)
+    ker, want = kernel_basis(ints), kernel_basis(m)
+    assert (ker.rows, ker.cols, ker.entries) == (want.rows, want.cols, want.entries)
+    assert all(type(x) is QQ for row in ker.entries for x in row)
+
+
+@settings(max_examples=150, deadline=None)
 @given(wide_grids())
 def test_rref_and_kernel_match_sympy_on_wide_entries(case):
     check_rref_and_kernel(case)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ncquad import skly
@@ -268,28 +270,43 @@ def _control_pencil():
             symmetric_form_to_element(form), None)
 
 
-CONTROL_SAMPLES = [0, 1, 2, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20,
-                   21, 22, 23, 24, 26, 27, 28, 29, 30, 31, 32, 33, 34, 36, 37, 38,
-                   39, 40, 41, 42, 43, 44, 45, 47]
+SEED1_SAMPLES = [0, 1, 2, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20,
+                 21, 22, 23, 24, 26, 27, 28, 29, 30, 31, 32, 33, 34, 36, 37, 38,
+                 39, 40, 41, 42, 43, 44, 45, 47]
 
 
-@pytest.mark.parametrize("pencil, samples", [(_sklyanin_a_pencil, list(range(42))),
-                                             (_control_pencil, CONTROL_SAMPLES)],
+@pytest.mark.parametrize("pencil, built", [(_sklyanin_a_pencil, 33), (_control_pencil, 34)],
                          ids=["sklyanin_a", "control"])
-def test_root_fit_matches_direct_fit(pencil, samples):
+def test_root_fit_matches_direct_fit(monkeypatch, pencil, built):
     # reference: the direct fit of the values at degrees (d, d) through the
-    # first 2d + 2 used samples, as the scan made it before fitting the root
+    # first 2d + 2 samples of the main pattern, from the test's own member
+    # builds; the scan itself stops after d + e + 1 = 33 agreeing members
+    # (the control also builds lambda = 0, whose pattern differs)
     S, omega1, omega2, table = pencil()
-    report = pencil_discriminant(S, omega1, omega2, samples, 16, table=table)
+    lifts = [[a + qq(lam) * b for a, b in zip(omega1, omega2)] for lam in SEED1_SAMPLES]
+    members = [skly._scan_sample(S, lift) for lift in lifts]
+    main = Counter(p for _, p in members).most_common(1)[0][0]
+    points = [(qq(lam), v) for lam, (v, p) in zip(SEED1_SAMPLES, members) if p == main]
+    calls = []
+    scan_sample = skly._scan_sample
+    monkeypatch.setattr(skly, "_scan_sample",
+                        lambda S, lift: calls.append(lift) or scan_sample(S, lift))
+    report = pencil_discriminant(S, omega1, omega2, SEED1_SAMPLES, 16, table=table)
+    assert len(calls) == built
+    assert (report.fit_degree, report.certified, len(report.sample_values)) == (16, True, 33)
+    assert report.sample_values == points[:33]
     assert report.distinct_root_count == 4
-    assert skly._rational_fit(report.sample_values[:34], 16, 16) == (
+    assert skly._rational_fit(points[:34], 16, 16) == (
         report.numerator, report.denominator)
 
 
-def _patched_scan(monkeypatch, values):
-    """Make the scan read the given values, in sample order, one pattern."""
-    it = iter(values)
-    monkeypatch.setattr(skly, "_scan_sample", lambda S, lift: (next(it), ()))
+def _patched_scan(monkeypatch, values, patterns=None):
+    """Make the scan read the given values, in sample order, one pattern unless
+    patterns are given; returns the list of the members the scan builds."""
+    it = iter(zip(values, patterns or [()] * len(values)))
+    built = []
+    monkeypatch.setattr(skly, "_scan_sample", lambda S, lift: built.append(lift) or next(it))
+    return built
 
 
 def _comm_pencil():
@@ -359,3 +376,58 @@ def test_fit_solves_the_half_degree_system(monkeypatch):
     report = pencil_discriminant(*_comm_pencil(), samples, 16)
     assert cols == [18]
     assert report.squarefree_degree == 1
+
+
+def _degree_eight_values(samples):
+    # v = 7 ((t + 2) / (t + 30))^8: the root fit has degrees (4, 4), e = 8, and at
+    # d = 8 the scan stops at max(min_samples(8), d + e + 1) = max(13, 17) = 17
+    return [7 * qq(lam + 2, lam + 30) ** 8 for lam in samples]
+
+
+def test_scan_stops_once_d_plus_e_plus_one_samples_agree(monkeypatch):
+    # the value at t = 17 is wrong, but the scan never builds that member
+    samples = list(range(24))
+    values = _degree_eight_values(samples)
+    values[17] *= 4
+    built = _patched_scan(monkeypatch, values)
+    report = pencil_discriminant(*_comm_pencil(), samples, 8)
+    assert len(built) == 17
+    assert (report.fit_degree, report.certified) == (8, True)
+    assert [lam for lam, _ in report.sample_values] == list(range(17))
+    assert report.to_dict()["certified"] is True
+    assert report.to_dict()["fit_degree"] == 8
+
+
+def test_disagreement_before_the_stop_names_the_sample(monkeypatch):
+    # t = 15 lies past the 2h + 2 = 10 fit points and before the stop at 17;
+    # its value is 4 times the fitted one, so its root is still rational
+    samples = list(range(24))
+    values = _degree_eight_values(samples)
+    values[15] *= 4
+    built = _patched_scan(monkeypatch, values)
+    with pytest.raises(PencilError, match="at sample 15 disagrees"):
+        pencil_discriminant(*_comm_pencil(), samples, 8)
+    assert len(built) == 16
+
+
+def test_too_few_samples_to_certify_builds_them_all(monkeypatch):
+    # 15 samples reach min_samples(8) = 13 but not d + e + 1 = 17
+    samples = list(range(15))
+    built = _patched_scan(monkeypatch, _degree_eight_values(samples))
+    report = pencil_discriminant(*_comm_pencil(), samples, 8)
+    assert len(built) == 15
+    assert (report.fit_degree, report.certified, len(report.sample_values)) == (8, False, 15)
+    assert report.squarefree_degree == 1
+
+
+def test_other_pattern_first_is_not_the_main_pattern(monkeypatch):
+    # as lambda = 0 in the control pencil: the first member has another
+    # pattern (and a value off the fit); it is skipped, not fitted
+    samples = list(range(12))
+    values = [qq(5)] + [qq(lam + 2) ** 2 for lam in samples[1:]]
+    built = _patched_scan(monkeypatch, values, [("other",)] + [()] * 11)
+    report = pencil_discriminant(*_comm_pencil(), samples, 4)
+    assert report.skipped == [(0, skly.PATTERN_SKIP)]
+    assert [lam for lam, _ in report.sample_values] == list(range(1, 10))
+    assert len(built) == 10
+    assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
