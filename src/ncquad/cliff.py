@@ -18,7 +18,7 @@ verifier covers the commutative hypersurface side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries, column_matrix,
                        combine, det, inverse, kernel_basis, qq, qq_str, to_column,
@@ -131,9 +131,8 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
                 chains[word[:k + 1]] = [combine(chains[word[:k]], c) for c in left[7 - k][u]]
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in words]
-    structure = [[to_dense(c, 8) for c in chains[word]] for word in words]
-    alg = FinDimAlgebra(labels, structure, to_dense(combine(z_maps[2], to_column(w)), 8))
-    return alg, det(w2)
+    return FinDimAlgebra(labels, [chains[word] for word in words],
+                         combine(z_maps[2], to_column(w))), det(w2)
 
 
 def clifford_algebra(h: HypersurfaceData, degree: int = 8) -> FinDimAlgebra:
@@ -210,19 +209,14 @@ def even_clifford_oracle(q) -> FinDimAlgebra:
     diag = congruent_diagonal(q)
     index = {s: k for k, s in enumerate(_EVEN_SUBSETS)}
     labels = ["1"] + ["e%d%d" % (i + 1, j + 1) for (i, j) in _EVEN_SUBSETS[1:7]] + ["e1234"]
-    structure = []
-    for s in _EVEN_SUBSETS:
-        row = []
-        for t in _EVEN_SUBSETS:
-            sign, coef, word = _clifford_word_product(s, t, diag)
-            vec = [qq(0)] * 8
-            c = sign * coef
-            if c:
-                vec[index[word]] = c
-            row.append(vec)
-        structure.append(row)
-    unit = [qq(1)] + [qq(0)] * 7
-    return FinDimAlgebra(labels, structure, unit)
+
+    def column(s, t):
+        # the product is sign * coef times one basis element: a monomial column
+        sign, coef, word = _clifford_word_product(s, t, diag)
+        return coef.denominator, {index[word]: sign * coef.numerator} if coef else {}
+
+    columns = [[column(s, t) for t in _EVEN_SUBSETS] for s in _EVEN_SUBSETS]
+    return FinDimAlgebra(labels, columns, (1, {0: 1}))
 
 
 @dataclass
@@ -245,10 +239,7 @@ class InvariantComparison:
 
 def invariant_tuple(alg: FinDimAlgebra) -> tuple:
     """(dim, radical dim, center dim, ss-center dim, commutator-ideal codim)."""
-    report = analyze(alg)
-    codim = alg.dim - commutator_ideal(alg).rank
-    return (report.dim, report.radical_dim, report.center_dim,
-            report.ss_center_dim, codim)
+    return (*analyze(alg).invariants(), alg.dim - commutator_ideal(alg).rank)
 
 
 def compare_invariants(c1: FinDimAlgebra, c2: FinDimAlgebra) -> InvariantComparison:
@@ -287,14 +278,9 @@ class MFVerdict:
                 "numerator": {str(e): c for e, c in self.series.numerator.coeffs.items()},
                 "denominator": {str(e): c for e, c in self.series.denominator.coeffs.items()},
             }
-        if self.witness is not None:
-            out["witness"] = {
-                "product": self.witness.product,
-                "row": self.witness.row,
-                "col": self.witness.col,
-                "got": [qq_str(x) for x in self.witness.got],
-                "expected": [qq_str(x) for x in self.witness.expected],
-            }
+        if (w := self.witness) is not None:
+            out["witness"] = dict(asdict(w), got=[qq_str(x) for x in w.got],
+                                  expected=[qq_str(x) for x in w.expected])
         return out
 
 
@@ -323,13 +309,9 @@ def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
     s = len(phi)
     if s == 0 or len(psi) != s or any(len(r) != s for r in phi) or any(len(r) != s for r in psi):
         raise ValueError("factors must be square matrices of equal size")
-    phi = [[[qq(c) for c in entry] for entry in row] for row in phi]
-    psi = [[[qq(c) for c in entry] for entry in row] for row in psi]
-    for mat in (phi, psi):
-        for row in mat:
-            for entry in row:
-                if len(entry) != g:
-                    raise ValueError("entries must be degree-1 coefficient vectors")
+    phi, psi = ([[[qq(c) for c in entry] for entry in row] for row in mat] for mat in (phi, psi))
+    if any(len(entry) != g for mat in (phi, psi) for row in mat for entry in row):
+        raise ValueError("entries must be degree-1 coefficient vectors")
     z = word_vector_class(table, z_lift)
     zero = [qq(0)] * table.dims[2]
     for name, left_m, right_m in (("phi.psi", phi, psi), ("psi.phi", psi, phi)):
@@ -357,13 +339,16 @@ def word_vector_class(table: GradedTable, vec) -> list:
 
 
 def require_central(table: GradedTable, lift, name: str):
-    """Raise HypothesisViolation unless the degree-2 word vector lift is central.
+    """The class of the degree-2 word vector lift, which must be central.
 
-    The check is on the generators (noncentral_generator); the message
-    names the first generator the class of lift does not commute with.
+    The check is on the generators (noncentral_generator); the
+    HypothesisViolation raised otherwise names the first generator the
+    class of lift does not commute with.
     """
-    i = noncentral_generator(table, word_vector_class(table, lift))
+    cls = word_vector_class(table, lift)
+    i = noncentral_generator(table, cls)
     if i is not None:
         raise HypothesisViolation(
             "centrality", "%s does not commute with generator %s"
             % (name, table.presentation.generator_names[i]))
+    return cls

@@ -13,37 +13,57 @@ edge case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import lcm
+from dataclasses import asdict, dataclass
+from math import gcd, lcm
 
 from .exactlin import (Matrix, SpanBuilder, combine, det, inverse, kernel_basis, qq,
                        to_column, to_dense)
+
+_INTEGERS = {int, type(qq(1).numerator)}  # with gmpy2, its mpz too; never bool
 
 
 class FinDimAlgebra:
     """Structure constants of a finite-dimensional unital algebra.
 
-    ``structure[i][j]`` holds the coordinates of basis_i * basis_j, the
-    validated input; ``ints[i][j]`` is its integer row {k: num} times
-    ``den``, the lcm of their denominators.  The constructor checks on
-    ``ints`` that the identity is a two-sided unit and that associativity
-    holds on every basis triple; every later step reads only ``ints``.
+    ``columns[i][j]`` is the integer column (den, {k: num}) of basis_i *
+    basis_j and ``unit`` that of the identity; ``ints[i][j]`` is the
+    {k: num} of the product over ``den``, the lcm of their denominators.
+    The constructor checks on ``ints`` that the identity is a two-sided
+    unit and that associativity holds on every basis triple; every later
+    step reads only ``ints``.  ``structure`` and ``unit`` are dense views.
     """
 
-    __slots__ = ("labels", "structure", "unit", "den", "ints")
+    __slots__ = ("labels", "den", "ints", "unit_col", "_structure")
 
-    def __init__(self, labels, structure, unit):
+    def __init__(self, labels, columns, unit):
         self.labels = tuple(str(x) for x in labels)
         n = len(self.labels)
-        if len(unit) != n or len(structure) != n or any(
-                len(row) != n or any(len(vec) != n for vec in row) for row in structure):
+        cols = [unit] + [c for row in columns for c in row]
+        rows = set(range(n))
+        if len(columns) != n or any(len(row) != n for row in columns) or not all(
+                type(c) is tuple and len(c) == 2 and type(c[1]) is dict and c[1].keys() <= rows
+                for c in cols):
             raise ValueError("structure constant shape mismatch")
-        self.structure = [[[qq(c) for c in vec] for vec in row] for row in structure]
-        self.unit = [qq(c) for c in unit]
-        d = self.den = lcm(*{c.denominator for row in self.structure for vec in row for c in vec})
-        self.ints = [[{t: c.numerator * (d // c.denominator) for t, c in enumerate(vec) if c}
-                      for vec in row] for row in self.structure]
+        if not {type(x) for e, nums in cols for x in (e, *nums, *nums.values())} <= _INTEGERS \
+                or min(e for e, _ in cols) <= 0:
+            raise ValueError("structure constants must be integer columns with den > 0")
+        d = self.den = lcm(*{e for e, _ in cols[1:]})
+        self.ints = [[{k: x * (d // e) for k, x in nums.items() if x} for e, nums in row]
+                     for row in columns]
+        self.unit_col, self._structure = unit, None
         self._validate()
+
+    @property
+    def structure(self) -> list:
+        """Dense coordinates of basis_i * basis_j, built on first read."""
+        if self._structure is None:
+            n, d = self.dim, self.den
+            self._structure = [[to_dense((d, vec), n) for vec in row] for row in self.ints]
+        return self._structure
+
+    @property
+    def unit(self) -> list:
+        return to_dense(self.unit_col, self.dim)
 
     @property
     def dim(self) -> int:
@@ -71,7 +91,7 @@ class FinDimAlgebra:
 
     def _validate(self):
         n = self.dim
-        du, u = to_column(self.unit)
+        du, u = self.unit_col
         for i in range(n):
             e, want = {i: 1}, {i: du * self.den}
             if self.product(u, e) != want or self.product(e, u) != want:
@@ -167,18 +187,20 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
     if not complement:
         raise RuntimeError("quotient collapsed to zero; unital algebra expected")
     p_cols = ideal.columns() + [alg.basis_vector(j) for j in complement]
-    basis_change = Matrix.from_columns(p_cols, rows=n)
-    inv = [to_column(c) for c in inverse(basis_change).columns()]
+    inv = [to_column(c) for c in inverse(Matrix.from_columns(p_cols, rows=n)).columns()]
     r = ideal.cols
 
-    def project(vec: list) -> list:
-        return to_dense(combine(inv, to_column(vec)), n)[r:]
+    def coords(col: tuple) -> tuple:
+        # the quotient coordinates of col in the new basis, kept canonical
+        d, nums = combine(inv, col)
+        tail = {k - r: x for k, x in nums.items() if k >= r}
+        g = gcd(d, *tail.values())
+        return d // g, {k: x // g for k, x in tail.items()}
 
     labels = [alg.labels[j] for j in complement]
-    structure = [[to_dense(combine(inv, (alg.den, alg.ints[i][j])), n)[r:] for j in complement]
-                 for i in complement]
-    unit = project(alg.unit)
-    return FinDimAlgebra(labels, structure, unit), project
+    columns = [[coords((alg.den, alg.ints[i][j])) for j in complement] for i in complement]
+    quo = FinDimAlgebra(labels, columns, coords(alg.unit_col))
+    return quo, lambda vec: to_dense(coords(to_column(vec)), n - r)
 
 
 def center_basis(alg: FinDimAlgebra) -> Matrix:
@@ -243,15 +265,8 @@ class AnalysisReport:
         return (self.dim, self.radical_dim, self.center_dim, self.ss_center_dim)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "radical_dim": self.radical_dim,
-            "center_dim": self.center_dim,
-            "ss_center_dim": self.ss_center_dim,
-            "one_dim_reps_absent": self.one_dim_reps_absent,
-            "ruling_count": "n/a" if self.ruling_count is None else self.ruling_count,
-            "smooth": self.smooth,
-        }
+        ruling = "n/a" if self.ruling_count is None else self.ruling_count
+        return dict(asdict(self), ruling_count=ruling)
 
 
 def analyze(alg: FinDimAlgebra) -> AnalysisReport:

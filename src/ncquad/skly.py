@@ -23,7 +23,7 @@ from operator import index
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     require_central)
-from .exactlin import (Matrix, det, kernel_basis, poly_degree, poly_divmod,
+from .exactlin import (Matrix, SpanBuilder, det, kernel_basis, poly_degree, poly_divmod,
                        poly_gcd, poly_mul, poly_squarefree_degree,
                        poly_trim, qq, qq_str)
 from .findim import analyze, trace_gram
@@ -451,7 +451,9 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     sample), when the fit misses a fit point or its square exceeds
     degree d, when a later sample disagrees with it (naming the sample)
     and when the main pattern ends with fewer than min_samples(d)
-    samples.  A repeated value would leave the fit underdetermined, so
+    samples.  ValueError is raised, before any member is built, when the
+    classes of omega1 and omega2 are dependent: every member is then the
+    same quadric.  A repeated value would leave the fit underdetermined, so
     the samples must be distinct as rationals.  mode is "polynomial"
     when the reduced denominator is 1, else "rational".
     Distinct roots of the numerator over the closure are counted through
@@ -465,13 +467,16 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:
         table = build_table(S, 3)
-    require_central(table, omega1_lift, "omega1")
-    require_central(table, omega2_lift, "omega2")
+    c1 = require_central(table, omega1_lift, "omega1")
+    c2 = require_central(table, omega2_lift, "omega2")
     if len(set(samples)) != len(samples):
         raise PencilError("sample values must be distinct rationals")
     if len(samples) < need:
         raise PencilError("need at least %d samples at degree bound %d, have %d"
                           % (need, d, len(samples)))
+    span = SpanBuilder(len(c1))
+    if not (span.add(c1) and span.add(c2)):
+        raise ValueError("omega1 and omega2 have dependent classes: every member is one quadric")
 
     fit_size = 2 * ((d + 1) // 2) + 2
     built = []            # (lambda, pattern, value) per member; (lambda, None, reason) if it failed

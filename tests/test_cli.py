@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,16 @@ def test_pencil_bad_flags_exit_code(flags):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("file, omega1, omega2", [
+    (SKLY_FILE, "0", "0"),
+    (COMM_FILE, "x0*x3-x1*x2", "2*x0*x3-2*x1*x2"),
+    (COMM_FILE, "x0*x3-x1*x2", "x0*x3-x1*x2+x0*x1-x1*x0"),
+], ids=["same-index", "multiple", "plus-a-relation"])
+def test_degenerate_pencil_exit_code(capsys, file, omega1, omega2):
+    code, out = run(capsys, "pencil", file, "--omega1", omega1, "--omega2", omega2)
+    assert code == 2 and out == ""
 
 
 def test_parse_error_exit_code(capsys):
@@ -301,3 +312,20 @@ def test_human_output_lines(capsys):
     assert code == 0
     assert "smooth: True" in out
     assert "ruling_count: 2" in out
+
+
+def readme_commands():
+    """Every ncquad command of the README's Command line block, continuations joined."""
+    text = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("ncquad ")]
+
+
+def test_readme_commands(capsys, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) == 14
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()

@@ -1,17 +1,31 @@
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ncquad.cliff import HypersurfaceData, clifford_algebra, even_clifford_oracle
-from ncquad.exactlin import Matrix, qq
+from ncquad import skly
+from ncquad.cli import resolve_z_spec
+from ncquad.cliff import (HypersurfaceData, clifford_algebra, clifford_with_scale,
+                          even_clifford_oracle)
+from ncquad.exactlin import Matrix, qq, to_column
 from ncquad.families import HYPERBOLIC_FORM, commutative_presentation, word_vector
 from ncquad.findim import (AnalysisReport, FinDimAlgebra, analyze, center_basis,
                            commutator_ideal, one_dim_reps_absent,
                            quotient_by_subspace, radical, trace_gram)
+from ncquad.qalg import QuadraticPresentation, build_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 Q4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 Q3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))
 Q2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+
+
+def dense_algebra(labels, structure, unit):
+    """FinDimAlgebra of a dense grid of structure constants and a dense unit."""
+    return FinDimAlgebra(labels, [[to_column(vec) for vec in row] for row in structure],
+                         to_column(unit))
 
 
 def upper_triangular_2x2():
@@ -22,13 +36,13 @@ def upper_triangular_2x2():
         [z, [0, 1, 0], z],
         [z, [0, 0, 1], z],
     ]
-    return FinDimAlgebra(["e11", "e22", "e12"], structure, [1, 1, 0])
+    return dense_algebra(["e11", "e22", "e12"], structure, [1, 1, 0])
 
 
 def split_commutative_2():
     # k x k with idempotent basis
     structure = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
-    return FinDimAlgebra(["u", "v"], structure, [1, 1])
+    return dense_algebra(["u", "v"], structure, [1, 1])
 
 
 def test_oracle_rank4_semisimple():
@@ -52,7 +66,7 @@ def test_associativity_validation_rejects_bad_table():
     z = [0, 0]
     bad = [[[0, 1], z], [z, z]]
     with pytest.raises(ValueError):
-        FinDimAlgebra(["a", "b"], bad, [1, 0])
+        dense_algebra(["a", "b"], bad, [1, 0])
 
 
 def test_associativity_validation_names_first_failing_triple():
@@ -65,25 +79,53 @@ def test_associativity_validation_names_first_failing_triple():
         [[0, 0, 1], z, [0, qq(2, 3), 0]],
     ]
     with pytest.raises(ValueError, match=re.escape("basis triple (1, 1, 2)")):
-        FinDimAlgebra(["1", "a", "b"], structure, [1, 0, 0])
+        dense_algebra(["1", "a", "b"], structure, [1, 0, 0])
 
 
-@pytest.mark.parametrize("structure, unit", [
-    ([[[1, 0]]], [1, 0]),
-    ([[[1, 0], [0, 1]], [[0, 1]]], [1, 0]),
-    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0, 0]),
-    ([[[1, 0], [0, 1]], [[0, 1], [0, 0, 0]]], [1, 0]),
-    ([[[1, 0], [0, 1], [0, 0]], [[0, 1], [0, 0]]], [1, 0]),
-], ids=["missing-row", "short-row", "long-unit", "long-vector", "long-row"])
-def test_structure_shape_mismatch(structure, unit):
+ONE, A, ZERO = (1, {0: 1}), (1, {1: 1}), (1, {})
+
+
+# a row index past the dimension is the column form of a dense vector too long
+@pytest.mark.parametrize("columns, unit", [
+    ([[ONE, A]], ONE),
+    ([[ONE, A], [A]], ONE),
+    ([[ONE, A], [A, ZERO]], (1, {2: 1})),
+    ([[ONE, A], [A, (1, {2: 1})]], ONE),
+    ([[ONE, A], [A, (1, {-1: 1})]], ONE),
+    ([[ONE, A, ZERO], [A, ZERO]], ONE),
+    ([[ONE, A], [A, [1, 0]]], ONE),
+    ([[ONE, A], [A, (1, {0: 1}, 1)]], ONE),
+], ids=["missing-row", "short-row", "long-unit", "long-vector", "negative-index", "long-row",
+        "dense-entry", "triple"])
+def test_structure_shape_mismatch(columns, unit):
     with pytest.raises(ValueError, match="structure constant shape mismatch"):
-        FinDimAlgebra(["a", "b"], structure, unit)
+        FinDimAlgebra(["a", "b"], columns, unit)
+
+
+@pytest.mark.parametrize("bad", [
+    (1, {1: 1.0}), (1, {1: Fraction(1)}), (1, {1: True}), (1, {True: 1}),
+    (1.0, {1: 1}), (Fraction(1), {1: 1}), (True, {1: 1}), (0, {1: 1}), (-1, {1: 1}),
+], ids=["float", "fraction", "bool", "bool-index", "float-den", "fraction-den",
+        "bool-den", "zero-den", "negative-den"])
+def test_structure_constants_must_be_integer_columns(bad):
+    with pytest.raises(ValueError, match="integer columns"):
+        FinDimAlgebra(["a", "b"], [[ONE, A], [A, bad]], ONE)
+    with pytest.raises(ValueError, match="integer columns"):
+        FinDimAlgebra(["a", "b"], [[ONE, A], [A, ZERO]], bad)
+
+
+def test_columns_over_any_denominator():
+    # a column need not be canonical: (2, {1: 2}) is the vector a
+    alg = FinDimAlgebra(["1", "a"], [[ONE, (2, {1: 2})], [A, (3, {})]], (5, {0: 5}))
+    assert alg.structure == [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    assert alg.unit == [1, 0]
+    assert radical(alg).cols == 1
 
 
 def test_unit_validation():
     structure = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     with pytest.raises(ValueError):
-        FinDimAlgebra(["a", "b"], structure, [0, 1])
+        dense_algebra(["a", "b"], structure, [0, 1])
 
 
 def test_one_dim_reps_absent_matrix_blocks():
@@ -181,11 +223,31 @@ def test_radical_cross_check_runs_on_every_analysis():
     analyze(split_commutative_2())
 
 
-def test_analysis_reads_only_the_integer_table():
-    # structure is the validated input; every step after the constructor
-    # reads the integer table, so analysis survives losing structure
-    for alg in (even_clifford_oracle(Q3), upper_triangular_2x2()):
-        want = analyze(alg).to_dict()
-        alg.structure = None
-        assert analyze(alg).to_dict() == want
-        assert alg.multiply(alg.unit, alg.unit) == alg.unit
+def _sklyanin_member(lam):
+    S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
+    table = build_table(S, 3)
+    w1, w2 = (resolve_z_spec(k, S, table)[0] for k in ("0", "1"))
+    return S, [a + qq(lam) * b for a, b in zip(w1, w2)]
+
+
+def test_analysis_reads_only_the_integer_table(monkeypatch):
+    # every step after the constructor reads the integer table, so the dense
+    # structure view stays unbuilt through C(A), analyze and a pencil sample,
+    # on a smooth and a singular member
+    for small in (even_clifford_oracle(Q3), upper_triangular_2x2()):
+        analyze(small)
+        assert small._structure is None
+    seen = []
+    monkeypatch.setattr(skly, "trace_gram", lambda a: seen.append(a) or trace_gram(a))
+    for lam in ("3", "1"):
+        S, lift = _sklyanin_member(lam)
+        alg, _ = clifford_with_scale(HypersurfaceData(S, lift))
+        analyze(alg)
+        assert alg._structure is None
+        skly._scan_sample(S, lift)
+        assert seen[-1]._structure is None
+    # read, the view holds the products of basis vectors
+    n = alg.dim
+    assert alg.structure == [[alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
+                              for j in range(n)] for i in range(n)]
+    assert alg.multiply(alg.unit, alg.unit) == alg.unit

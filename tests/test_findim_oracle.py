@@ -17,7 +17,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ncquad.cliff import HypersurfaceData, clifford_algebra, even_clifford_oracle  # noqa: E402
-from ncquad.exactlin import Matrix, SpanBuilder, inverse, kernel_basis, qq  # noqa: E402
+from ncquad.exactlin import (Matrix, SpanBuilder, inverse, kernel_basis, qq,  # noqa: E402
+                             to_column)
 from ncquad.families import word_vector  # noqa: E402
 from ncquad.findim import (FinDimAlgebra, analyze, center_basis, commutator_ideal,  # noqa: E402
                            radical, trace_gram)
@@ -42,6 +43,12 @@ def first_nonassociative_triple(structure):
                 if left != right:
                     return i, j, k
     return None
+
+
+def dense_algebra(labels, structure, unit):
+    """FinDimAlgebra of a dense grid of structure constants and a dense unit."""
+    return FinDimAlgebra(labels, [[to_column(vec) for vec in row] for row in structure],
+                         to_column(unit))
 
 
 def matmul(a, b):
@@ -92,14 +99,14 @@ def conjugated_even_cliffords(draw, forms=None):
 def test_associativity_check_matches_fraction_reference(case, i, j, t, r):
     labels, structure = case
     unit = [1] + [0] * 7
-    FinDimAlgebra(labels, structure, unit)
+    dense_algebra(labels, structure, unit)
     # perturbing a product of two non-unit basis vectors keeps the unit axioms
     bad = [[list(vec) for vec in row] for row in structure]
     bad[i][j][t] += r
     want = first_nonassociative_triple(bad)
     assert want is not None
     with pytest.raises(ValueError, match=re.escape("basis triple (%d, %d, %d)" % want)):
-        FinDimAlgebra(labels, bad, unit)
+        dense_algebra(labels, bad, unit)
 
 
 def ref_multiply(structure, x, y):
@@ -198,14 +205,14 @@ VECTOR = st.lists(RATIONAL, min_size=8, max_size=8)
 @given(conjugated_even_cliffords(), VECTOR, VECTOR)
 def test_analysis_matches_fraction_reference(case, x, y):
     labels, structure = case
-    assert_matches_reference(FinDimAlgebra(labels, structure, [1] + [0] * 7), x, y)
+    assert_matches_reference(dense_algebra(labels, structure, [1] + [0] * 7), x, y)
 
 
 @settings(max_examples=15, deadline=None)
 @given(conjugated_even_cliffords(DEGENERATE_FORMS), VECTOR, VECTOR)
 def test_analysis_matches_fraction_reference_on_degenerate_forms(case, x, y):
     labels, structure = case
-    assert_matches_reference(FinDimAlgebra(labels, structure, [1] + [0] * 7), x, y)
+    assert_matches_reference(dense_algebra(labels, structure, [1] + [0] * 7), x, y)
 
 
 def test_skew_commuting_quadrics_against_center_formula():

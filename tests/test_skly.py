@@ -184,16 +184,32 @@ def test_fat_point_sequence_lines_in_different_rulings():
 
 # -- pencil scan --
 
-def test_degenerate_pencil_constant():
+def test_degenerate_pencil_constant(monkeypatch):
+    # omega2 = omega1: every member is the same quadric, so there is no
+    # count to certify; the scan refuses before building a member
+    def no_member(*args):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(skly, "_scan_sample", no_member)
     comm = commutative_presentation()
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
-    report = pencil_discriminant(comm, q1, q1, list(range(-2, 15)), 3)
-    assert report.mode == "polynomial"
-    assert report.denominator == [1]
-    assert report.squarefree_degree == 0
-    assert report.distinct_root_count == 0
-    # z vanishes at -1; that sample must be skipped with a reason
-    assert any(str(lam) == "-1" for lam, _ in report.skipped)
+    with pytest.raises(ValueError, match="dependent classes"):
+        pencil_discriminant(comm, q1, q1, list(range(-2, 15)), 3)
+
+
+def test_failed_member_is_skipped_with_its_reason(monkeypatch):
+    # a member whose construction fails is recorded with the failure and skipped
+    comm, q1, q2 = _comm_pencil()
+    samples = list(range(-2, 9))
+    values = iter([qq(lam + 2) ** 2 for lam in samples if lam != -1])
+
+    def scan(S, lift):
+        if lift == [a - b for a, b in zip(q1, q2)]:
+            raise HypothesisViolation("regularity", "w is not regular")
+        return next(values), ()
+    monkeypatch.setattr(skly, "_scan_sample", scan)
+    report = pencil_discriminant(comm, q1, q2, samples, 4)
+    assert report.skipped == [(-1, "regularity hypothesis failed: w is not regular")]
+    assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
 
 
 def test_pencil_needs_enough_samples():
@@ -225,6 +241,22 @@ def test_pencil_refuses_one_below_min_samples(monkeypatch):
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
     with pytest.raises(PencilError):
         pencil_discriminant(comm, q1, q1, list(range(8)), 3)
+
+
+@pytest.mark.parametrize("scale, relation", [(-3, 0), (1, 1), (0, 0)],
+                         ids=["multiple", "plus-a-relation", "zero-omega2"])
+def test_pencil_rejects_dependent_classes(monkeypatch, scale, relation):
+    # omega2 = scale * omega1 + relation * (x0 x1 - x1 x0): the classes in S_2
+    # are dependent, so every member is the same quadric and no count exists
+    def no_member(*args):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(skly, "_scan_sample", no_member)
+    comm = commutative_presentation()
+    q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
+    rel = word_vector(4, {(0, 1): 1, (1, 0): -1})
+    q2 = [scale * a + relation * b for a, b in zip(q1, rel)]
+    with pytest.raises(ValueError, match="dependent classes"):
+        pencil_discriminant(comm, q1, q2, list(range(42)), 16)
 
 
 def test_pencil_rejects_repeated_samples(monkeypatch):
