@@ -4,8 +4,9 @@ Everything here is over the rationals in characteristic zero.  All values
 are immutable after construction and safe to share between threads.
 Linear maps are lists of canonical integer sparse columns, applied by one
 helper, combine; a Matrix is the dense form.  Row reduction has one
-kernel, SpanBuilder, which reduces sparse integer rows fraction-free and
-keeps them primitive; rref feeds a matrix through it and returns the
+kernel, SpanBuilder, which reduces sparse integer rows fraction-free in
+one pass per row and keeps them primitive, removing each row's content
+once; rref feeds a matrix through it and returns the
 unique reduced row echelon form over QQ, so every basis chosen
 downstream is reproducible whatever order the rows arrive in.
 """
@@ -228,10 +229,11 @@ class SpanBuilder:
 
     Rows are kept as {column: int} dicts and reduced by fraction-free
     incremental Gauss-Jordan: each incoming row is cleared at every pivot
-    column it hits by cross-multiplication with the held pivot row.  A
-    row that reduces to zero lies in the span; otherwise its leftmost
-    entry becomes a new pivot, which is cleared from the rows already
-    held.  Every held row (``pivot_rows``, by pivot) is kept primitive
+    column it hits by cross-multiplication with the held pivot row, in
+    one pass, and its content is removed once at the end.  A row that
+    reduces to zero lies in the span; otherwise its leftmost entry
+    becomes a new pivot, which is cleared from the rows already held.
+    Every held row (``pivot_rows``, by pivot) is kept primitive
     with a positive pivot entry, a multiple of a row of a partial RREF,
     so entry sizes stay bounded.  A rational vector enters through
     ``add``, scaled once by the lcm of its denominators.  Only ``basis``
@@ -244,11 +246,24 @@ class SpanBuilder:
         self.pivot_rows: dict[int, dict] = {}  # read only outside this class
 
     def _reduce(self, row: dict) -> dict:
+        """A positive multiple of row minus a combination of the held rows,
+        zero at every pivot column; its content is left for the caller."""
         held = self.pivot_rows
         # pivot rows are zero at every other pivot column, so the set of
         # pivots an incoming row hits is fixed before any is cleared
         for c in [c for c in row if c in held]:
-            row = _cross_reduce(row, c, held[c])
+            piv = held[c]
+            p, f = piv[c], row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, x in piv.items():
+                v = row.get(j, 0) - b * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         return row
 
     def add_row(self, row: dict) -> bool:
@@ -257,7 +272,7 @@ class SpanBuilder:
         if not row:
             return False
         c = min(row)
-        g = gcd(*row.values())
+        g = gcd(*row.values())  # the content, removed once
         if row[c] < 0:
             g = -g
         if g != 1:

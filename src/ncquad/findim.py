@@ -2,6 +2,8 @@
 
 Every step runs on the integer table the constructor validates; spans
 and kernels ignore scaling, so integer rows go straight to SpanBuilder.
+The constructor checks associativity on the triples whose first factor
+lies in a generating set, which is exact (see FinDimAlgebra._validate).
 
 Radical computation uses the trace-form criterion, valid over fields of
 characteristic zero: x lies in the radical exactly when trace(L_{x y})
@@ -29,7 +31,8 @@ class FinDimAlgebra:
     basis_j and ``unit`` that of the identity; ``ints[i][j]`` is the
     {k: num} of the product over ``den``, the lcm of their denominators.
     The constructor checks on ``ints`` that the identity is a two-sided
-    unit and that associativity holds on every basis triple; every later
+    unit and that associativity holds (on the basis triples whose first
+    factor lies in a generating set, enough for all); every later
     step reads only ``ints``.  ``structure`` and ``unit`` are dense views.
     """
 
@@ -90,17 +93,43 @@ class FinDimAlgebra:
         return to_dense((dx * dy * self.den, self.product(nx, ny)), self.dim)
 
     def _validate(self):
+        """Check the unit, then associativity on a generating set G.
+
+        G is built greedily: a basis element joins G when it is not yet in
+        the span, which is then closed under left multiplication by G
+        (from span{1}), until the span is everything.  Checking (g x) y =
+        g (x y) for g in G and all basis x, y is exact: the set B of a with
+        (a x) y = a (x y) for all x, y is a subspace containing 1, and for
+        a in B, g in G, ((g a) x) y = (g (a x)) y = g ((a x) y) =
+        g (a (x y)) = (g a)(x y), so B contains the closure, the algebra.
+        A failure names the first failing basis triple (g, x, y).
+        """
         n = self.dim
         du, u = self.unit_col
         for i in range(n):
             e, want = {i: 1}, {i: du * self.den}
             if self.product(u, e) != want or self.product(e, u) != want:
                 raise ValueError("identity vector is not a two-sided unit")
+        # the span is that of 1 and the rows in found; g 1 = e_g is in found for g in G
+        span, gens, found, todo = SpanBuilder(n), [], [], []
+        span.add_row(dict(u))
+        for i in range(n):
+            if not span.add_row({i: 1}):  # e_i is in the span already
+                continue
+            gens.append(i)  # e_i = e_i 1 has joined the span
+            found.append({i: 1})
+            todo += [(i, v) for v in found] + [(h, {i: 1}) for h in gens[:-1]]
+            while todo and span.rank < n:
+                h, v = todo.pop()
+                w = self.product({h: 1}, v)
+                if span.add_row(dict(w)):
+                    found.append(w)
+                    todo += [(k, w) for k in gens]
         # Associativity is homogeneous of degree 2 in the constants, so
         # scaling every constant by a common denominator d scales both sides
         # of each triple by d^2: the integer identity is the rational one.
         st = [[list(vec.items()) for vec in row] for row in self.ints]
-        for i in range(n):
+        for i in gens:
             sti = st[i]
             for j in range(n):
                 cij, stj = sti[j], st[j]

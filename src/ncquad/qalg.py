@@ -5,9 +5,10 @@ relations.  Graded components are built by the exact recurrence
 
     A_{n+1} = (V (x) A_n) / image(R (x) A_{n-1}),
 
-which is correct for quadratic algebras.  The generator maps are integer
-sparse columns from the elimination (SpanBuilder, fed integer image
-rows) to their consumers.  Normal-word bases are picked by deglex
+which is correct for quadratic algebras.  The left generator maps are
+integer sparse columns from the elimination (SpanBuilder, fed integer
+image rows written straight from them) to their consumers; the right
+maps are derived from them on first read.  Normal-word bases are picked by deglex
 pivoting with a fixed generator order, so identical inputs always
 produce identical tables.  Words are tuples of generator indices; the
 degree-2 word space indexes the pair (i, j) at position i*g + j.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 from .exactlin import (Matrix, SpanBuilder, column_matrix, combine, kernel_basis, qq,
                        qq_str, rank, rref, to_column, to_dense)
@@ -154,10 +156,11 @@ class GradedTable:
     degree n; every representative evaluates to its own basis vector.
     ``left_cols[n][i]`` is multiplication by generator i on the left, a
     map from degree n to degree n+1, as its list of integer columns (see
-    exactlin), and ``right_cols[n][i]`` the same on the right; ``left``
-    and ``right`` are their Matrix views, built on first access.  From
-    degree ``period_start`` on (None when it never happens) the maps
-    repeat with period 2: ``left_cols[n] is left_cols[n - 2]``, and so on.
+    exactlin), and ``right_cols[n][i]`` the same on the right, derived
+    from the left maps on first read; ``left`` and ``right`` are their
+    Matrix views, built on first access.  From degree ``period_start`` on
+    (None when it never happens) the maps repeat with period 2:
+    ``left_cols[n] is left_cols[n - 2]``, and so on.
     """
 
     presentation: QuadraticPresentation
@@ -165,13 +168,33 @@ class GradedTable:
     dims: list[int]
     words: list[list[tuple[int, ...]]]
     left_cols: list[list[list]]
-    right_cols: list[list[list]]
     period_start: int | None = None
 
     left = cached_property(lambda self: _views(self.left_cols, lambda n, by_gen: [
         column_matrix(cols, self.dims[n + 1]) for cols in by_gen]))
     right = cached_property(lambda self: _views(self.right_cols, lambda n, by_gen: [
         column_matrix(cols, self.dims[n + 1]) for cols in by_gen]))
+
+    @cached_property
+    def right_cols(self) -> list:
+        """Right generator maps, recursively: (x_j t) x_i = x_j (t x_i).
+
+        A degree whose left maps are shared with two degrees back, and
+        whose inputs (the right maps one degree down) repeat too, shares
+        that degree's right maps.
+        """
+        g, left, out = self.presentation.num_generators, self.left_cols, []
+        for n, lmaps in enumerate(left):
+            if n >= 3 and lmaps is left[n - 2] and out[n - 1] == out[n - 3]:
+                out.append(out[n - 2])
+            elif n == 0:
+                out.append([[(1, {i: 1})] for i in range(g)])
+            else:
+                tails = {w: t for t, w in enumerate(self.words[n - 1])}
+                prev = out[n - 1]
+                out.append([[combine(lmaps[w[0]], prev[i][tails[w[1:]]]) for w in self.words[n]]
+                            for i in range(g)])
+        return out
 
 
 def _views(maps: list, view) -> list:
@@ -187,11 +210,12 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
 
     Step n builds degree n + 1 from exact index-level inputs: the two
     previous dimensions, the (first letter, tail index) shape of the
-    degree-n words and the generator maps out of degree n - 1.  When
-    these equal the inputs of step n - 2 (columns are canonical, so equal
-    maps are equal lists), so do the outputs; the step then shares step
-    n - 2's maps instead of eliminating, and so does every later step,
-    since its inputs are then shared too.  Only the words are extended.
+    degree-n words and the left generator maps out of degree n - 1.
+    When these equal the inputs of step n - 2 (columns are canonical, so
+    equal maps are equal lists), so do the outputs; the step then shares
+    step n - 2's maps instead of eliminating, and so does every later
+    step, since its inputs are then shared too.  Only the words are
+    extended.
     """
     if max_degree < 2:
         raise ValueError("degree bound must be at least 2")
@@ -201,25 +225,24 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     # word b of degree n is (i,) + words[n - 1][t] for shapes[n][b] == (i, t)
     shapes: list[list[tuple[int, int]]] = [[], [(i, 0) for i in range(g)]]
     # generator maps of the last degree
-    lcols = rcols = [[(1, {i: 1})] for i in range(g)]
-    left, right = [lcols], [rcols]
-    # each relation as an integer column over the pairs i * g + j
-    rels = [to_column(rel) for rel in p.relations]
-    pairs = sorted({k for _, nums in rels for k in nums})
+    lcols = [[(1, {i: 1})] for i in range(g)]
+    left = [lcols]
+    # each relation as the integer terms (i, j, coef) of its pairs x_i x_j
+    rels = [[(*divmod(k, g), c) for k, c in to_column(rel)[1].items()]
+            for rel in p.relations]
     keys = [None, None]  # inputs of steps n - 2 and n - 1
     period_start = None
 
     for n in range(1, max_degree):
         d_prev, d_n = dims[n - 1], dims[n]
         m = g * d_n
-        key = (d_prev, d_n, shapes[n], lcols, rcols)
+        key = (d_prev, d_n, shapes[n], lcols)
         if key == keys[0]:
             if period_start is None:
                 period_start = n
             # the inputs of step n - 1 are the outputs of step n - 2
-            lcols, rcols = keys[1][3], keys[1][4]
+            lcols = keys[1][3]
             left.append(left[n - 2])
-            right.append(right[n - 2])
             dims.append(dims[n - 1])
             shapes.append(shapes[n - 1])
             words.append([(i,) + words[n][t] for i, t in shapes[n - 1]])
@@ -230,17 +253,25 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
         # o = i * d_n + t ascends in o; deglex pivoting eliminates lex-largest
         # words first, so pivoting column k holds coordinate m - 1 - k.
         # The image of R (x) A_{n-1} inside V (x) A_n: per basis word b of
-        # degree n - 1, each relation applied to the x_i x_j b it uses.
+        # degree n - 1, each relation applied to the x_i x_j b it uses, the
+        # columns x_j b scaled to their common denominator.
         span = SpanBuilder(m)
         for b in range(d_prev):
-            placed = {}
-            for k in pairs:
-                i, j = divmod(k, g)
-                den, nums = lcols[j][b]
-                base = m - 1 - i * d_n
-                placed[k] = (den, {base - t: x for t, x in nums.items()})
-            for rel in rels:
-                span.add_row(combine(placed, rel)[1])
+            cols = [lcols[j][b] for j in range(g)]
+            d = lcm(*[e for e, _ in cols])
+            cols = [(d // e, nums) for e, nums in cols]
+            for terms in rels:
+                row: dict = {}
+                get = row.get
+                for i, j, c in terms:
+                    s, nums = cols[j]
+                    s *= c
+                    base = m - 1 - i * d_n
+                    for t, x in nums.items():
+                        row[base - t] = get(base - t, 0) + s * x
+                if 0 in row.values():
+                    row = {k: x for k, x in row.items() if x}
+                span.add_row(row)
         held = span.pivot_rows
         # free positions, right to left: words[n + 1] ascends as well
         basis_positions = [k for k in range(m - 1, -1, -1) if k not in held]
@@ -254,25 +285,18 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
                 return 1, {pos_to_basis[k]: 1}
             return row[k], {pos_to_basis[j]: -x for j, x in row.items() if j != k}
 
-        # left maps: x_i times basis word b of degree n is coordinate i * d_n + b
-        next_lcols = [[reduced(m - 1 - i * d_n - b) for b in range(d_n)] for i in range(g)]
-
-        # right maps, recursively: (x_j w') x_i = x_j (w' x_i)
-        next_rcols = [[combine(next_lcols[j], rcols[i][t]) for j, t in shapes[n]]
-                      for i in range(g)]
-
         # step n + 2 can match this step only if d_next == d_prev; otherwise
         # the maps out of degree n - 1 are freed here, as without the keys
         keys = [keys[1], key if d_next == d_prev else None]
         del key
-        lcols, rcols = next_lcols, next_rcols
+        # left maps: x_i times basis word b of degree n is coordinate i * d_n + b
+        lcols = [[reduced(m - 1 - i * d_n - b) for b in range(d_n)] for i in range(g)]
         left.append(lcols)
-        right.append(rcols)
         dims.append(d_next)
         shapes.append(new_shape)
         words.append([(i,) + words[n][t] for i, t in new_shape])
 
-    return GradedTable(p, max_degree, dims, words, left, right, period_start)
+    return GradedTable(p, max_degree, dims, words, left, period_start)
 
 
 def hilbert(table: GradedTable) -> list[int]:
@@ -383,9 +407,11 @@ def noncentral_generator(table: GradedTable, z: list) -> int | None:
     None certifies that z is central, for the reason given in
     central_quadratic_space; the table must reach degree 3.
     """
-    z = to_column(z)
+    z, left, words = to_column(z), table.left_cols, table.words[2]
     for i in range(table.presentation.num_generators):
-        if combine(table.right_cols[2][i], z) != combine(table.left_cols[2][i], z):
+        # z x_i word by word, through the left maps: (x_k x_l) x_i = x_k (x_l x_i)
+        zx = {b: combine(left[2][words[b][0]], left[1][words[b][1]][i]) for b in z[1]}
+        if combine(zx, z) != combine(left[2][i], z):
             return i
     return None
 

@@ -1,4 +1,10 @@
-"""Differential tests of the exact elimination layer against sympy over QQ."""
+"""Differential tests of the exact elimination layer against sympy over QQ.
+
+SpanBuilder's one-pass reduction is also checked against the per-pivot
+loop it replaced, which made the row primitive after every pivot hit.
+"""
+
+from math import gcd
 
 import pytest
 
@@ -166,3 +172,90 @@ def test_span_builder_matches_sympy(case, data):
 def test_span_builder_matches_sympy_on_wide_entries(case, data):
     outside = data.draw(st.lists(WIDE_ENTRY, min_size=case[1], max_size=case[1]))
     check_span_builder(case, outside)
+
+
+def cross_reduce(row, c, piv):
+    """Primitive multiple of a*row - b*piv, zero at column c (a/b = piv[c]/row[c])."""
+    p, f = piv[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    row = {j: a * x for j, x in row.items()}
+    for j, x in piv.items():
+        v = row.get(j, 0) - b * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()}
+
+
+class PerPivotSpan:
+    """Reference: the SpanBuilder loop that clears one pivot hit per call and
+    makes the row primitive after every hit."""
+
+    def __init__(self):
+        self.pivot_rows = {}
+
+    def reduce(self, row):
+        held = self.pivot_rows
+        for c in [c for c in row if c in held]:
+            row = cross_reduce(row, c, held[c])
+        return row
+
+    def add_row(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        c = min(row)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        row = {j: x // g for j, x in row.items()}
+        held = self.pivot_rows
+        for k, other in held.items():
+            if c in other:
+                held[k] = cross_reduce(other, c, row)
+        held[c] = row
+        return True
+
+    def contains(self, row):
+        return not self.reduce(dict(row))
+
+
+INTEGER = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80)).filter(bool)
+
+
+@st.composite
+def row_sequences(draw):
+    """(dim, ops): sparse integer rows to add or test, with repeats and dependent rows."""
+    dim = draw(st.integers(1, 10))
+    rows, ops = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        how = draw(st.integers(0, 3)) if rows else 0
+        if how == 0:
+            row = {j: draw(INTEGER) for j in draw(st.sets(st.integers(0, dim - 1), max_size=4))}
+        elif how == 1:  # a repeat, negated or scaled
+            row = {j: draw(st.sampled_from([1, -1, 2, -3, 2**70])) * x
+                   for j, x in draw(st.sampled_from(rows)).items()}
+        else:  # an integer combination of two earlier rows
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(INTEGER), draw(INTEGER)
+            row = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in set(a) | set(b)}
+            row = {j: x for j, x in row.items() if x}
+        rows.append(row)
+        ops.append((draw(st.sampled_from(["add", "add", "contains"])), row))
+    return dim, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_sequences())
+def test_one_pass_reduction_matches_the_per_pivot_loop(case):
+    dim, ops = case
+    span, ref = SpanBuilder(dim), PerPivotSpan()
+    for kind, row in ops:
+        if kind == "add":
+            assert span.add_row(dict(row)) == ref.add_row(dict(row))
+        else:
+            assert span.contains([row.get(j, 0) for j in range(dim)]) == ref.contains(row)
+        assert span.pivot_rows == ref.pivot_rows

@@ -1,13 +1,16 @@
 """Differential tests of findim's integer-table steps against plain Fraction loops.
 
 The reference functions below are the Fraction versions that read the
-rational structure constants directly; the ±1-skew test checks the
-center against a closed formula.
+rational structure constants directly, among them the full associativity
+check on every basis triple that the constructor's check on a generating
+set replaced; the ±1-skew test checks the center against a closed formula.
 """
 
+import functools
 import itertools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +22,11 @@ from hypothesis import strategies as st  # noqa: E402
 from ncquad.cliff import HypersurfaceData, clifford_algebra, even_clifford_oracle  # noqa: E402
 from ncquad.exactlin import (Matrix, SpanBuilder, inverse, kernel_basis, qq,  # noqa: E402
                              to_column)
-from ncquad.families import word_vector  # noqa: E402
+from ncquad.families import commutative_presentation, word_vector  # noqa: E402
 from ncquad.findim import (FinDimAlgebra, analyze, center_basis, commutator_ideal,  # noqa: E402
                            radical, trace_gram)
-from ncquad.qalg import QuadraticPresentation  # noqa: E402
+from ncquad.qalg import (QuadraticPresentation, build_table,  # noqa: E402
+                         central_quadratic_space, element_word_lift)
 
 
 def first_nonassociative_triple(structure):
@@ -236,3 +240,83 @@ def test_skew_commuting_quadrics_against_center_formula():
         key = (report.smooth, report.center_dim, report.to_dict()["ruling_count"])
         split[key] = split.get(key, 0) + 1
     assert split == {(True, 2, 2): 56, (True, 8, "n/a"): 8}
+
+
+def reference_accepts(structure, unit):
+    """The full check in Fractions: a two-sided unit and associativity on all triples."""
+    for e in unit_vectors(len(structure)):
+        if ref_multiply(structure, unit, e) != e or ref_multiply(structure, e, unit) != e:
+            return False
+    return first_nonassociative_triple(structure) is None
+
+
+COMM = commutative_presentation()
+HYPERBOLIC = word_vector(4, {(0, 3): 1, (1, 2): -1})
+
+
+def sklyanin_member_algebra(lam):
+    S = QuadraticPresentation.load(
+        (Path(__file__).resolve().parents[1] / "presentations" / "sklyanin_a.json").read_text())
+    t = build_table(S, 3)
+    centre = central_quadratic_space(t)
+    w1, w2 = (element_word_lift(t, centre.column(k), 2) for k in (0, 1))
+    return clifford_algebra(HypersurfaceData(S, [a + qq(lam) * b for a, b in zip(w1, w2)]))
+
+
+VALID_ALGEBRAS = {
+    "comm4-hyperbolic": lambda: clifford_algebra(HypersurfaceData(COMM, HYPERBOLIC)),
+    "sklyanin_a:lambda=3": lambda: sklyanin_member_algebra("3"),
+    "sklyanin_a:lambda=1": lambda: sklyanin_member_algebra("1"),
+    "oracle-rank4": lambda: even_clifford_oracle([[2, 1, 0, 0], [1, -1, 0, 3], [0, 0, 5, 0],
+                                                  [0, 3, 0, 1]]),
+    "oracle-rank2": lambda: even_clifford_oracle(DEGENERATE_FORMS[1]),
+    "oracle-hyperbolic": lambda: even_clifford_oracle([[0, 0, 0, 1], [0, 0, -1, 0],
+                                                       [0, -1, 0, 0], [1, 0, 0, 0]]),
+}
+
+
+@functools.cache
+def valid_table(name):
+    alg = VALID_ALGEBRAS[name]()
+    return alg.labels, alg.structure, alg.unit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALID_ALGEBRAS)), st.integers(0, 7), st.integers(0, 7),
+       st.integers(0, 7), RATIONAL)
+def test_generating_set_check_accepts_exactly_what_the_full_check_accepts(name, i, j, t, r):
+    labels, structure, unit = valid_table(name)
+    bad = [[list(vec) for vec in row] for row in structure]
+    bad[i][j][t] += r
+    if reference_accepts(bad, unit):
+        dense_algebra(labels, bad, unit)
+    else:
+        with pytest.raises(ValueError):
+            dense_algebra(labels, bad, unit)
+
+
+def test_products_of_basis_elements_outside_the_generating_set_are_checked():
+    # The unit of the even Clifford oracle is e_0 and its generating set is
+    # {e_1, e_2, e_3}; a broken product e_i e_j with i >= 4 and j >= 1 keeps
+    # the unit axioms and must still fail associativity.
+    labels, structure, unit = valid_table("oracle-hyperbolic")
+    for i, j, t in itertools.product(range(4, 8), range(1, 8), range(8)):
+        bad = [[list(vec) for vec in row] for row in structure]
+        bad[i][j][t] += 1
+        with pytest.raises(ValueError, match="associativity"):
+            dense_algebra(labels, bad, unit)
+
+
+def test_broken_product_outside_the_generating_set_of_a_quadric():
+    # On the comm4 hyperbolic C(A) every basis element but x2.x1.x2.x1
+    # (index 6) joins the generating set.  The unit is e_4 + e_6, so e_6 e_j
+    # is broken together with the opposite change of e_4 e_j, which keeps
+    # the unit axioms for j outside {4, 6}.
+    labels, structure, unit = valid_table("comm4-hyperbolic")
+    assert labels[6] == "x2.x1.x2.x1" and unit == [int(k in (4, 6)) for k in range(8)]
+    for j, t in itertools.product([0, 1, 2, 3, 5, 7], range(8)):
+        bad = [[list(vec) for vec in row] for row in structure]
+        bad[6][j][t] += 1
+        bad[4][j][t] -= 1
+        with pytest.raises(ValueError, match="associativity"):
+            dense_algebra(labels, bad, unit)

@@ -15,10 +15,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ncquad.exactlin import Matrix, qq, rref  # noqa: E402
+from ncquad.cliff import HypersurfaceData, dual_central_element  # noqa: E402
+from ncquad.exactlin import (Matrix, combine, kernel_basis, qq, rref,  # noqa: E402
+                             to_column, to_dense)
 from ncquad.families import (commutative_presentation,  # noqa: E402
                              symmetric_form_to_element, word_vector)
-from ncquad.qalg import QuadraticPresentation, build_table, koszul_dual  # noqa: E402
+from ncquad.qalg import (QuadraticPresentation, build_table,  # noqa: E402
+                         central_quadratic_space, element_word_lift, koszul_dual,
+                         noncentral_generator)
 
 
 def mat_vec(m, vec):
@@ -171,3 +175,84 @@ def test_relation_scale_and_order_do_not_change_the_table(name, data):
     # canonical columns: equal maps are equal integer columns
     assert (a.dims, a.words, a.left_cols, a.right_cols, a.period_start) == \
         (b.dims, b.words, b.left_cols, b.right_cols, b.period_start)
+
+
+def eager_right_cols(table):
+    """Reference: the right maps as build_table used to build them, one degree
+    per step, with no map shared: (x_j t) x_i = x_j (t x_i)."""
+    g = table.presentation.num_generators
+    right = [[[(1, {i: 1})] for i in range(g)]]
+    for n in range(1, len(table.left_cols)):
+        tails = {w: t for t, w in enumerate(table.words[n - 1])}
+        shape = [(w[0], tails[w[1:]]) for w in table.words[n]]
+        right.append([[combine(table.left_cols[n][j], right[n - 1][i][t]) for j, t in shape]
+                      for i in range(g)])
+    return right
+
+
+def right_map_noncentral(table, z):
+    """Reference centrality check: the first i with z x_i != x_i z, by the right maps."""
+    z = to_column(z)
+    right = eager_right_cols(table)
+    return next((i for i in range(table.presentation.num_generators)
+                 if combine(right[2][i], z) != combine(table.left_cols[2][i], z)), None)
+
+
+def sklyanin_member(lam):
+    t = build_table(SKLYANIN, 3)
+    centre = central_quadratic_space(t)
+    w1, w2 = (element_word_lift(t, centre.column(k), 2) for k in (0, 1))
+    return QuadraticPresentation(SKLYANIN.generator_names, list(SKLYANIN.relations)
+                                 + [[a + qq(lam) * b for a, b in zip(w1, w2)]])
+
+
+RIGHT_TABLES = {
+    "comm4": lambda: build_table(COMM, 6),
+    "sklyanin_a": lambda: build_table(SKLYANIN, 6),
+    "sklyanin_a_dual": lambda: build_table(koszul_dual(SKLYANIN), 6),
+    "member:1": lambda: build_table(koszul_dual(sklyanin_member("1")), 8),
+    "member:3": lambda: build_table(koszul_dual(sklyanin_member("3")), 8),
+    "member:5/9": lambda: build_table(koszul_dual(sklyanin_member("5/9")), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(RIGHT_TABLES))
+def test_derived_right_maps_match_the_eager_recursion(name):
+    table = RIGHT_TABLES[name]()
+    assert table.right_cols == eager_right_cols(table)
+    # a shared right map sits exactly where the left maps repeat
+    shared = [n for n in range(2, len(table.left_cols))
+              if table.right_cols[n] is table.right_cols[n - 2]]
+    assert shared == list(range(table.period_start or len(table.left_cols),
+                                len(table.left_cols)))
+
+
+def commuting_space(table, k):
+    """Columns spanning the z in A_2 that commute with x_0 .. x_{k-1}, by the reference right maps."""
+    right, d2, d3 = eager_right_cols(table), table.dims[2], table.dims[3]
+    rows = [[0] * d2]
+    for i in range(k):
+        diff = [[a - b for a, b in zip(to_dense(r, d3), to_dense(l, d3))]
+                for r, l in zip(right[2][i], table.left_cols[2][i])]
+        rows += [[col[t] for col in diff] for t in range(d3)]
+    return kernel_basis(Matrix.from_rows(rows)).columns()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["sklyanin_a", "member:1", "member:3", "member:5/9"]), st.data())
+def test_left_map_centrality_check_matches_the_right_maps(name, data):
+    table = RIGHT_TABLES[name]()
+    if name == "sklyanin_a":
+        central = central_quadratic_space(table).columns()
+    else:
+        central = [dual_central_element(HypersurfaceData(
+            SKLYANIN, sklyanin_member(name[7:]).relations[-1]))[0]]
+    for z in central:
+        assert noncentral_generator(table, z) is None
+    # a random z commuting with the first k generators, so that each index
+    # can be the first that fails
+    basis = commuting_space(table, data.draw(st.integers(0, 4)))
+    coefs = data.draw(st.lists(st.builds(qq, st.integers(-4, 4), st.integers(1, 3)),
+                               min_size=len(basis), max_size=len(basis)))
+    z = [sum((c * v[r] for c, v in zip(coefs, basis)), qq(0)) for r in range(table.dims[2])]
+    assert noncentral_generator(table, z) == right_map_noncentral(table, z)
