@@ -11,6 +11,15 @@ degree zero gives a finite dimensional algebra; concretely it lives on
 the degree-4 component of the dual of A, with products pulled back
 through multiplication by w^2.
 
+The dual of A needs no elimination of its own: its relation space is
+R_S^perp meet z^perp, and S caches a basis r_1..r_m of R_S^perp as
+primitive integer rows.  With c_i = <r_i, z> and k the first index with
+c_k != 0, the rows c_k r_i - c_i r_k (i != k) are a basis of it.  All
+c_i vanish exactly when z lies in (R_S^perp)^perp = R_S, which is the
+independence hypothesis failing.  From there to C(A) the member's data
+stays in integers: the w^2 map is inverted and its determinant taken
+on integer columns.
+
 A classical even Clifford construction over a diagonalized symmetric
 form serves as the independent oracle, and a matrix-factorization
 verifier covers the commutative hypersurface side.
@@ -19,14 +28,13 @@ verifier covers the commutative hypersurface side.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import gcd, prod
 
-from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries, column_matrix,
-                       combine, det, inverse, kernel_basis, qq, qq_str, to_column,
-                       to_dense)
+from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries, combine, det,
+                       inverse_columns, kernel_basis, qq, qq_str, to_column, to_dense)
 from .findim import FinDimAlgebra, analyze, commutator_ideal
 from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
-                   build_table, is_regular_central, koszul_dual, multiply,
-                   noncentral_generator)
+                   build_table, is_regular_central, multiply, noncentral_generator)
 
 
 class HypothesisViolation(Exception):
@@ -38,22 +46,40 @@ class HypothesisViolation(Exception):
 
 
 class HypersurfaceData:
-    """Ambient presentation S plus a degree-2 lift cutting out A = S/(z)."""
+    """Ambient presentation S plus a degree-2 lift cutting out A = S/(z).
 
-    __slots__ = ("S", "A")
+    ``dual`` is the quadratic dual of A, whose relation space is R_A^perp
+    = R_S^perp meet z^perp.  With r_1..r_m the integer annihilator rows of
+    S (QuadraticPresentation.integer_rows) and c_i = <r_i, z>, z lies in
+    R_S = (R_S^perp)^perp exactly when every c_i is 0, and that is the
+    independence hypothesis failing.  Otherwise, k the first index with
+    c_k != 0, the m - 1 rows c_k r_i - c_i r_k (i != k) are orthogonal to
+    z and independent (each holds r_i with the nonzero coefficient c_k),
+    so they span R_A^perp; they are kept primitive.
+    """
+
+    __slots__ = ("S", "dual")
 
     def __init__(self, S: QuadraticPresentation, z_lift):
         g = S.num_generators
         z_lift = tuple(qq(c) for c in z_lift)
         if len(z_lift) != g * g:
             raise ValueError("lift must live in the degree-2 word space")
-        # S's names are valid and the length is checked, so dependence of the
-        # stacked relations is the only ValueError the constructor can raise
-        try:
-            self.A = QuadraticPresentation(S.generator_names, list(S.relations) + [z_lift])
-        except ValueError:
+        z = to_column(z_lift)[1]
+        ann = S.integer_rows()[1]
+        c = [sum(r[j] * x for j, x in z.items()) for r in ann]
+        k = next((k for k, ck in enumerate(c) if ck), None)
+        if k is None:
             raise HypothesisViolation(
-                "independence", "the degree-2 element lies in the relation span") from None
+                "independence", "the degree-2 element lies in the relation span")
+        rk, ck = ann[k], c[k]
+        dual = []
+        for i, (r, ci) in enumerate(zip(ann, c)):
+            if i != k:  # with ci = 0 the row is c_k r_i, and r_i is primitive
+                row = tuple(ck * a - ci * b for a, b in zip(r, rk)) if ci else r
+                d = gcd(*row)
+                dual.append(row if d == 1 else tuple(x // d for x in row))
+        self.dual = QuadraticPresentation._of(S.generator_names, tuple(dual))
         self.S = S
 
 
@@ -62,18 +88,19 @@ def dual_central_element(h: HypersurfaceData, degree: int = 8):
 
     w spans the kernel of the degree-2 comparison map onto the dual of
     S.  That target is dual to the relation space R_S, so the map sends
-    the word (i, j) to [r[i*g + j] for r in R_S]: the same null space as
-    in any basis of the dual of S, hence the same w at the same scale.
+    the word (i, j) to [r[i*g + j] for r in R_S], read off S's integer
+    relation rows: the same null space as in any basis of the dual of
+    S, hence the same w at the same scale.
     w is verified central (degree-3 generator check) and regular through
     the requested degree; the returned RegularityCertificate carries the
     matrices of right multiplication by w that the check built.  Any
     failure raises HypothesisViolation naming the broken property.
     """
-    dual_a = build_table(koszul_dual(h.A), degree)
+    dual_a = build_table(h.dual, degree)
     g = h.S.num_generators
     words = dual_a.words[2]
-    ker = kernel_basis(Matrix.from_rows(
-        [[r[i * g + j] for i, j in words] for r in h.S.relations], cols=len(words)))
+    ker = kernel_basis(Matrix.of_integers(
+        [[r[i * g + j] for i, j in words] for r in h.S.integer_rows()[0]], len(words)))
     if ker.cols != 1:
         raise HypothesisViolation(
             "kernel-dimension",
@@ -121,18 +148,20 @@ def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate
             "dual dimensions at degrees (4, 6, 8) are %r, expected (8, 8, 8)"
             % ((dims[4], dims[6], dims[8]),))
     z_maps = cert.z_maps
-    w2 = column_matrix([combine(z_maps[6], c) for c in z_maps[4]], 8)
+    w2 = [combine(z_maps[6], c) for c in z_maps[4]]
     left = dual_a.left_cols
     words = dual_a.words[4]
-    chains = {(): [to_column(c) for c in inverse(w2).columns()]}
+    chains = {(): inverse_columns(w2, 8)}
     for word in words:
         for k, u in enumerate(word):
             if word[:k + 1] not in chains:
                 chains[word[:k + 1]] = [combine(chains[word[:k]], c) for c in left[7 - k][u]]
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in words]
+    # det of the integer columns, read as rows (det M = det M^T), over their denominators
+    det_w2 = det(Matrix.of_integers([[nums.get(i, 0) for i in range(8)] for _, nums in w2], 8))
     return FinDimAlgebra(labels, [chains[word] for word in words],
-                         combine(z_maps[2], to_column(w))), det(w2)
+                         combine(z_maps[2], to_column(w))), det_w2 / prod(d for d, _ in w2)
 
 
 def clifford_algebra(h: HypersurfaceData, degree: int = 8) -> FinDimAlgebra:

@@ -215,13 +215,25 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises ValueError on a singular matrix."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = Matrix._of(n, 2 * n, [row + [ONE if i == j else ZERO for j in range(n)]
-                                for i, row in enumerate(m.entries)])
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    return column_matrix(inverse_columns([to_column(c) for c in m.columns()], m.rows), m.rows)
+
+
+def inverse_columns(cols: list, n: int) -> list:
+    """Integer columns of the inverse of the n x n map with the given columns.
+
+    Row j of [M^T | I] is column j of M beside e_j, scaled to integers by
+    the column's denominator.  Reduced to [I | (M^-1)^T], held row c is
+    a primitive integer multiple p of row c, with pivot p > 0 at column
+    c: (p, its entries past n) is column c of M^-1, canonical as built.
+    Raises ValueError when M is singular (a pivot lands past column n).
+    """
+    span = SpanBuilder(2 * n)
+    for j, (den, nums) in enumerate(cols):
+        span.add_row({**nums, n + j: den})
+    held = span.pivot_rows
+    if any(c >= n for c in held):
         raise ValueError("matrix is singular")
-    return Matrix._of(n, n, [row[n:] for row in red.entries])
+    return [(held[c][c], {k - n: x for k, x in held[c].items() if k >= n}) for c in range(n)]
 
 
 class SpanBuilder:

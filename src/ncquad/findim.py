@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import gcd, lcm
 
-from .exactlin import (Matrix, SpanBuilder, combine, det, inverse, kernel_basis, qq,
-                       to_column, to_dense)
+from .exactlin import (Matrix, SpanBuilder, combine, det, inverse_columns, kernel_basis,
+                       qq, to_column, to_dense)
 
 _INTEGERS = {int, type(qq(1).numerator)}  # with gmpy2, its mpz too; never bool
 
@@ -151,13 +151,15 @@ class FinDimAlgebra:
 
 
 def trace_gram(alg: FinDimAlgebra) -> Matrix:
-    """Gram matrix T[i][j] = trace of left multiplication by basis_i basis_j."""
+    """Integer Gram matrix den^2 T, T[i][j] the trace of L_{basis_i basis_j}.
+
+    Its kernel is that of T, and det(T) is its determinant over den^(2 dim).
+    """
     n, ints = alg.dim, alg.ints
     # den * trace of L_{b_v} for each v; traces extend linearly to products
     tr = [sum(ints[v][j].get(j, 0) for j in range(n)) for v in range(n)]
-    d2 = alg.den * alg.den
-    return Matrix._of(n, n, [[qq(sum(c * tr[v] for v, c in ints[i][j].items()), d2)
-                              for j in range(n)] for i in range(n)])
+    return Matrix.of_integers([[sum(c * tr[v] for v, c in ints[i][j].items())
+                                for j in range(n)] for i in range(n)], n)
 
 
 def radical(alg: FinDimAlgebra) -> Matrix:
@@ -210,13 +212,13 @@ def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
         return alg, list
     n = alg.dim
     span = SpanBuilder(n)
-    for c in ideal.columns():
-        span.add(c)
+    p_cols = [to_column(c) for c in ideal.columns()]
+    for _, nums in p_cols:
+        span.add_row(dict(nums))
     complement = [j for j in range(n) if span.add_row({j: 1})]
     if not complement:
         raise RuntimeError("quotient collapsed to zero; unital algebra expected")
-    p_cols = ideal.columns() + [alg.basis_vector(j) for j in complement]
-    inv = [to_column(c) for c in inverse(Matrix.from_columns(p_cols, rows=n)).columns()]
+    inv = inverse_columns(p_cols + [(1, {j: 1}) for j in complement], n)
     r = ideal.cols
 
     def coords(col: tuple) -> tuple:

@@ -38,7 +38,7 @@ class DegreeOverflowError(ValueError):
 class QuadraticPresentation:
     """Generators plus a rational relation subspace R inside V (x) V."""
 
-    __slots__ = ("generator_names", "relations")
+    __slots__ = ("generator_names", "relations", "_rows")
 
     def __init__(self, generator_names, relations):
         names = tuple(str(n) for n in generator_names)
@@ -55,6 +55,33 @@ class QuadraticPresentation:
             raise ValueError("relation vectors are linearly dependent")
         self.generator_names = names
         self.relations = rels
+        self._rows = None
+
+    @classmethod
+    def _of(cls, names: tuple, relations: tuple) -> "QuadraticPresentation":
+        """Wrap validated names and independent relations, uncoerced and unranked."""
+        p = cls.__new__(cls)
+        p.generator_names, p.relations, p._rows = names, relations, None
+        return p
+
+    def integer_rows(self) -> tuple[list, list]:
+        """The relations and a basis of their annihilator R_perp, as dense integer rows.
+
+        Each relation is scaled by the lcm of its denominators; the
+        annihilator rows are koszul_dual's relations scaled the same way,
+        primitive because each has an entry 1 before scaling.  Both are
+        computed once per relations tuple: rebinding ``relations``
+        recomputes them.
+        """
+        if self._rows is None or self._rows[0] is not self.relations:
+            n = self.num_generators ** 2
+
+            def dense(vecs):
+                return [tuple(nums.get(k, 0) for k in range(n))
+                        for _, nums in map(to_column, vecs)]
+            ann = kernel_basis(Matrix.from_rows(self.relations, cols=n)).columns()
+            self._rows = (self.relations, dense(self.relations), dense(ann))
+        return self._rows[1], self._rows[2]
 
     @property
     def num_generators(self) -> int:

@@ -273,7 +273,7 @@ def _scan_sample(S: QuadraticPresentation, lift: list):
     """One pencil member: scale-invariant trace-form determinant sample."""
     h = HypersurfaceData(S, lift)
     alg, det_w2 = clifford_with_scale(h)
-    value = det(trace_gram(alg)) * det_w2 * det_w2
+    value = det(trace_gram(alg)) / alg.den ** (2 * alg.dim) * det_w2 * det_w2
     pattern = tuple(alg.labels)
     return value, pattern
 

@@ -106,6 +106,16 @@ def test_noncentral_z_exit_code(argv, generator):
     assert "Traceback" not in proc.stderr
 
 
+def test_lift_in_the_relation_span_exit_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "smooth", COMM_FILE,
+                           "--z", "x0*x1-x1*x0"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: independence hypothesis failed: "
+                           "the degree-2 element lies in the relation span\n")
+
+
 @pytest.mark.parametrize("flags", [["--samples", "10"], ["--degree-bound", "-2"],
                                    ["--samples", "20"]],
                          ids=["too-few-samples", "negative-degree-bound",

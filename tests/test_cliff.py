@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -5,23 +6,25 @@ import pytest
 
 from ncquad import exactlin, qalg
 from ncquad.cliff import (HypersurfaceData, HypothesisViolation,
-                          InvariantComparison, clifford_algebra,
+                          InvariantComparison, clifford_algebra, clifford_from_dual,
                           clifford_with_scale, compare_invariants,
                           congruent_diagonal, dual_central_element,
                           even_clifford_oracle, verify_matrix_factorization,
                           word_vector_class)
 from ncquad.cli import resolve_z_spec
-from ncquad.exactlin import LaurentPoly, RationalSeries, qq
+from ncquad.exactlin import LaurentPoly, RationalSeries, det, qq
 from ncquad.families import (HYPERBOLIC_FORM, commutative_presentation,
                              sklyanin_gamma, sklyanin_presentation,
                              symmetric_form_to_element, word_vector)
-from ncquad.findim import analyze, radical
+from ncquad.findim import analyze, radical, trace_gram
 from ncquad.qalg import (QuadraticPresentation, build_table,
-                         central_quadratic_space, element_word_lift)
+                         central_quadratic_space, element_word_lift, is_regular_central,
+                         koszul_dual)
 
 ROOT = Path(__file__).resolve().parents[1]
 COMM = commutative_presentation()
 SKLY = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
+SKLY_A = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
 
 HYPER = word_vector(4, {(0, 3): 1, (1, 2): -1})
 DIAG4 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
@@ -37,6 +40,42 @@ def test_hypersurface_rejects_dependent_lift():
     comm_rel = word_vector(4, {(0, 1): 1, (1, 0): -1})
     with pytest.raises(HypothesisViolation):
         HypersurfaceData(COMM, comm_rel)
+
+
+# lifts inside R_S: zero, a relation, and a random rational combination of
+# the relations (every coefficient nonzero, so no relation drops out)
+@pytest.mark.parametrize("S", [COMM, SKLY_A], ids=["comm4", "sklyanin_a"])
+@pytest.mark.parametrize("kind", ["zero", "relation", "combination"])
+def test_lift_in_the_relation_span_violates_independence(S, kind):
+    rng = random.Random("independence/%s" % kind)
+    rels = S.relations
+    if kind == "zero":
+        lift = [0] * 16
+    elif kind == "relation":
+        lift = list(rels[rng.randrange(len(rels))])
+    else:
+        coefs = [qq(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rels]
+        lift = [sum(c * r[k] for c, r in zip(coefs, rels)) for k in range(16)]
+    with pytest.raises(HypothesisViolation) as exc:
+        HypersurfaceData(S, lift)
+    assert exc.value.hypothesis == "independence"
+    # one step off the span, the same lift is accepted
+    off = next(k for k in range(16) if S.relations[0][k])
+    HypersurfaceData(S, [c + (k == off) for k, c in enumerate(lift)])
+
+
+def test_rebound_relations_do_not_reuse_the_cached_annihilator():
+    S = QuadraticPresentation(COMM.generator_names, COMM.relations)
+    comm_rel = word_vector(4, {(0, 1): 1, (1, 0): -1})
+    with pytest.raises(HypothesisViolation):
+        HypersurfaceData(S, comm_rel)  # fills the cache from comm4's relations
+    S.relations = SKLY_A.relations
+    assert S.integer_rows() == SKLY_A.integer_rows()
+    h = HypersurfaceData(S, comm_rel)  # x0 x1 - x1 x0 is not a Sklyanin relation
+    stacked = QuadraticPresentation(S.generator_names, list(S.relations) + [comm_rel])
+    assert h.dual.relation_span_equals(koszul_dual(stacked))
+    with pytest.raises(HypothesisViolation):
+        HypersurfaceData(S, SKLY_A.relations[0])
 
 
 # w and det(w^2 map) as the comparison through a basis of the dual of S gave
@@ -104,31 +143,36 @@ def _count_calls(monkeypatch, homes: dict) -> dict:
 # multiply, rref and det calls for HypersurfaceData plus clifford_with_scale
 # on a sklyanin_a member.  The graded tables eliminate through SpanBuilder's
 # integer rows, and regularity checks each z-map by the rank of its integer
-# columns, so rref serves only the two relation spans (A and its dual), the
-# Koszul dual's kernel, w's comparison kernel and the inverse of the w^2
-# map: 5 at every lambda.  The z-maps, the w^2 map, C(A)'s unit and its
-# prefix products are integer column combinations (exactlin.combine), and
-# Matrix has no product, so nothing calls multiply.
+# columns; the dual's relations are integer combinations of S's annihilator
+# rows, and the w^2 map is inverted on integer columns (inverse_columns).
+# So rref serves only S's annihilator, computed once per presentation, and
+# w's comparison kernel: 2 for a presentation's first member, 1 for each
+# later one.  The z-maps, the w^2 map, C(A)'s unit and its prefix products
+# are integer column combinations (exactlin.combine), and Matrix has no
+# product, so nothing calls multiply.
 @pytest.mark.parametrize("lam, want", [
-    ("3", {"multiply": 0, "rref": 5, "det": 1}),
-    ("5/9", {"multiply": 0, "rref": 5, "det": 1}),
+    ("3", {"multiply": 0, "rref": 2, "det": 1}),
+    ("5/9", {"multiply": 0, "rref": 2, "det": 1}),
 ], ids=["lambda-3", "lambda-5/9"])
 def test_member_work_counts(monkeypatch, lam, want):
     S, lift = _sklyanin_member(lam)
     counts = _count_calls(monkeypatch, {"multiply": qalg, "rref": exactlin, "det": exactlin})
     clifford_with_scale(HypersurfaceData(S, lift))
     assert counts == want
+    clifford_with_scale(HypersurfaceData(S, lift))
+    assert counts == {"multiply": 0, "rref": want["rref"] + 1, "det": 2 * want["det"]}
 
 
 # Elimination calls of analyze on C(A) of a sklyanin_a member (rref counts
-# the calls kernel_basis and inverse make).  A smooth member takes the
-# trace form's kernel, the center's kernel and the quotient trace form's
-# determinant, the quotient by a zero radical being C(A) itself; at the
-# singular lambda = 1 the quotient costs an inverse and a second center.
+# the calls kernel_basis makes).  A smooth member takes the trace form's
+# kernel, the center's kernel and the quotient trace form's determinant,
+# the quotient by a zero radical being C(A) itself; at the singular
+# lambda = 1 the quotient costs a second center, and its basis change is
+# inverted on integer columns (inverse_columns), without inverse or rref.
 @pytest.mark.parametrize("lam, want", [
     ("3", {"rref": 2, "kernel_basis": 2, "inverse": 0, "det": 1}),
     ("5/9", {"rref": 2, "kernel_basis": 2, "inverse": 0, "det": 1}),
-    ("1", {"rref": 4, "kernel_basis": 3, "inverse": 1, "det": 1}),
+    ("1", {"rref": 3, "kernel_basis": 3, "inverse": 0, "det": 1}),
 ], ids=["lambda-3", "lambda-5/9", "lambda-1"])
 def test_analyze_work_counts(monkeypatch, lam, want):
     alg, _ = clifford_with_scale(HypersurfaceData(*_sklyanin_member(lam)))
@@ -201,6 +245,17 @@ def test_compare_self_and_different_ranks():
 def test_scale_invariance_quantity():
     alg, det_w2 = clifford_with_scale(HypersurfaceData(COMM, HYPER))
     assert det_w2 != 0
+    # w rescaled by u = 2/3 gives the w^2 map columns with denominators:
+    # det(w^2 map) scales by u^16 and the trace form's determinant by u^-32
+    w, table, _ = dual_central_element(HypersurfaceData(COMM, HYPER))
+
+    def gram_and_w2_dets(v):
+        a, d = clifford_from_dual(table, v, is_regular_central(table, v, 8))
+        return det(trace_gram(a)) / a.den ** (2 * a.dim), d
+    u = qq(2, 3)
+    (g1, d1), (gu, du) = gram_and_w2_dets(w), gram_and_w2_dets([u * c for c in w])
+    assert d1 == det_w2 and g1 != 0
+    assert du == d1 * u ** 16 and gu == g1 / u ** 32
 
 
 # -- matrix factorization --

@@ -29,24 +29,29 @@ from ncquad.qalg import (QuadraticPresentation, build_table,  # noqa: E402
                          central_quadratic_space, element_word_lift)
 
 
+def nonassociative(c, i, j, k):
+    """Reference check: (b_i b_j) b_k != b_i (b_j b_k), for Fraction structure constants c."""
+    n = len(c)
+    left = [Fraction(0)] * n
+    right = [Fraction(0)] * n
+    for v in range(n):
+        for t in range(n):
+            if c[i][j][v] and c[v][k][t]:
+                left[t] += c[i][j][v] * c[v][k][t]
+            if c[j][k][v] and c[i][v][t]:
+                right[t] += c[j][k][v] * c[i][v][t]
+    return left != right
+
+
+def fractions(structure):
+    return [[[Fraction(x) for x in vec] for vec in row] for row in structure]
+
+
 def first_nonassociative_triple(structure):
-    """Reference check: the first (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), in Fractions."""
-    n = len(structure)
-    c = [[[Fraction(x) for x in vec] for vec in row] for row in structure]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = [Fraction(0)] * n
-                right = [Fraction(0)] * n
-                for v in range(n):
-                    for t in range(n):
-                        if c[i][j][v] and c[v][k][t]:
-                            left[t] += c[i][j][v] * c[v][k][t]
-                        if c[j][k][v] and c[i][v][t]:
-                            right[t] += c[j][k][v] * c[i][v][t]
-                if left != right:
-                    return i, j, k
-    return None
+    """Reference check: the first failing basis triple (i, j, k), or None."""
+    c = fractions(structure)
+    return next((t for t in itertools.product(range(len(c)), repeat=3)
+                 if nonassociative(c, *t)), None)
 
 
 def dense_algebra(labels, structure, unit):
@@ -107,10 +112,13 @@ def test_associativity_check_matches_fraction_reference(case, i, j, t, r):
     # perturbing a product of two non-unit basis vectors keeps the unit axioms
     bad = [[list(vec) for vec in row] for row in structure]
     bad[i][j][t] += r
-    want = first_nonassociative_triple(bad)
-    assert want is not None
-    with pytest.raises(ValueError, match=re.escape("basis triple (%d, %d, %d)" % want)):
+    assert first_nonassociative_triple(bad) is not None
+    # the constructor checks only triples whose first factor lies in its
+    # generating set, so it names a failing triple, not always the first
+    with pytest.raises(ValueError, match="associativity fails") as exc:
         dense_algebra(labels, bad, unit)
+    named = re.search(r"basis triple \((\d+), (\d+), (\d+)\)", str(exc.value))
+    assert nonassociative(fractions(bad), *map(int, named.groups()))
 
 
 def ref_multiply(structure, x, y):
@@ -179,7 +187,9 @@ def assert_matches_reference(alg, x, y):
     assert alg.multiply(x, y) == ref_multiply(s, x, y)
     gram, center, span = ref_trace_gram(s), ref_center_basis(s), ref_commutator_span(s)
     rad = kernel_basis(gram)
-    assert trace_gram(alg) == gram
+    # trace_gram is the integer matrix den^2 T
+    assert trace_gram(alg) == Matrix(n, n, [[alg.den ** 2 * x for x in row]
+                                            for row in gram.entries])
     assert center_basis(alg) == center
     assert commutator_ideal(alg).rank == span.rank
     assert radical(alg) == rad

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -14,6 +15,7 @@ from ncquad.qalg import (DegreeOverflowError, QuadraticPresentation, build_table
                          evaluate_word, hilbert, is_regular_central,
                          koszul_dual, koszul_identity_check, multiply)
 
+ROOT = Path(__file__).resolve().parents[1]
 COMM = commutative_presentation()
 SKLY = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
 
@@ -300,6 +302,55 @@ def test_quadric_dual_table_identity_through_degree_8(name):
     for n in range(period_start or 8, 8):
         assert table.left[n] is table.left[n - 2]
         assert table.right[n] is table.right[n - 2]
+
+
+def assert_dual_matches_stacked(S, lift):
+    """HypersurfaceData's dual against the Koszul dual of S's relations stacked with z.
+
+    The stacked construction is the oracle: the relations must span the
+    same space and the degree-8 tables must agree in every field that
+    build_table computes.
+    """
+    from ncquad.cliff import HypersurfaceData
+    dual = HypersurfaceData(S, lift).dual
+    stacked = koszul_dual(QuadraticPresentation(S.generator_names, list(S.relations) + [lift]))
+    assert dual.relation_span_equals(stacked)
+    a, b = build_table(dual, 8), build_table(stacked, 8)
+    assert (a.dims, a.words, a.left_cols, a.period_start) == \
+        (b.dims, b.words, b.left_cols, b.period_start)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL8))
+def test_member_dual_matches_the_stacked_koszul_dual(name):
+    assert_dual_matches_stacked(*_quadric_member(name))
+
+
+def _quadric_round_inputs(seed, rnd):
+    """(S, lift) of every request of a perfbench quadric round, built as its worker does."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    sk, cm = (QuadraticPresentation.load((ROOT / "presentations" / name).read_text())
+              for name in ("sklyanin_a.json", "comm4.json"))
+    table = build_table(sk, 3)
+    centre = central_quadratic_space(table)
+    w1, w2 = (element_word_lift(table, centre.column(k), 2) for k in (0, 1))
+    out = []
+    for req in wl.quadric_round(seed, rnd):
+        if req["kind"] == "member":
+            lam = qq(req["lam"])
+            out.append((sk, [a + lam * b for a, b in zip(w1, w2)]))
+        else:
+            out.append((cm, symmetric_form_to_element(req["q"])))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_member_dual_matches_the_stacked_koszul_dual_on_quadric_rounds(seed):
+    for rnd in (0, 1):
+        for S, lift in _quadric_round_inputs(seed, rnd):
+            assert_dual_matches_stacked(S, lift)
 
 
 def column_matrix(cols, rows):
