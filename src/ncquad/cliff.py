@@ -31,18 +31,25 @@ from dataclasses import asdict, dataclass
 from math import gcd, prod
 
 from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries, combine, det,
-                       inverse_columns, kernel_basis, qq, qq_str, to_column, to_dense)
+                       inverse_columns, qq, qq_str, to_column, to_dense)
 from .findim import FinDimAlgebra, analyze, commutator_ideal
 from .qalg import (GradedTable, QuadraticPresentation, RegularityCertificate,
                    build_table, is_regular_central, multiply, noncentral_generator)
 
 
 class HypothesisViolation(Exception):
-    """An input failed one of the standing structural hypotheses."""
+    """An input failed one of the standing structural hypotheses.
+
+    It pickles as its two arguments, so it crosses a process boundary
+    with the same hypothesis and text.
+    """
 
     def __init__(self, hypothesis: str, message: str):
         super().__init__("%s hypothesis failed: %s" % (hypothesis, message))
-        self.hypothesis = hypothesis
+        self.hypothesis, self.message = hypothesis, message
+
+    def __reduce__(self):
+        return type(self), (self.hypothesis, self.message)
 
 
 class HypersurfaceData:
@@ -90,22 +97,21 @@ def dual_central_element(h: HypersurfaceData, degree: int = 8):
     S.  That target is dual to the relation space R_S, so the map sends
     the word (i, j) to [r[i*g + j] for r in R_S], read off S's integer
     relation rows: the same null space as in any basis of the dual of
-    S, hence the same w at the same scale.
+    S, hence the same w at the same scale.  The kernel depends only on
+    S and the dual's degree-2 normal words, and S caches it per word set
+    (QuadraticPresentation.comparison_kernel).
     w is verified central (degree-3 generator check) and regular through
     the requested degree; the returned RegularityCertificate carries the
     matrices of right multiplication by w that the check built.  Any
     failure raises HypothesisViolation naming the broken property.
     """
     dual_a = build_table(h.dual, degree)
-    g = h.S.num_generators
-    words = dual_a.words[2]
-    ker = kernel_basis(Matrix.of_integers(
-        [[r[i * g + j] for i, j in words] for r in h.S.integer_rows()[0]], len(words)))
-    if ker.cols != 1:
+    ker = h.S.comparison_kernel(dual_a.words[2])
+    if len(ker) != 1:
         raise HypothesisViolation(
             "kernel-dimension",
-            "degree-2 comparison kernel has dimension %d, expected 1" % ker.cols)
-    w = ker.column(0)
+            "degree-2 comparison kernel has dimension %d, expected 1" % len(ker))
+    w = list(ker[0])
     cert = is_regular_central(dual_a, w, degree)
     if not cert.central:
         raise HypothesisViolation("centrality", "w is not central: " + cert.describe())

@@ -71,7 +71,7 @@ class QuadraticPresentation:
         annihilator rows are koszul_dual's relations scaled the same way,
         primitive because each has an entry 1 before scaling.  Both are
         computed once per relations tuple: rebinding ``relations``
-        recomputes them.
+        recomputes them and drops every cached comparison_kernel.
         """
         if self._rows is None or self._rows[0] is not self.relations:
             n = self.num_generators ** 2
@@ -80,8 +80,25 @@ class QuadraticPresentation:
                 return [tuple(nums.get(k, 0) for k in range(n))
                         for _, nums in map(to_column, vecs)]
             ann = kernel_basis(Matrix.from_rows(self.relations, cols=n)).columns()
-            self._rows = (self.relations, dense(self.relations), dense(ann))
+            self._rows = (self.relations, dense(self.relations), dense(ann), {})
         return self._rows[1], self._rows[2]
+
+    def comparison_kernel(self, words) -> list:
+        """A null-space basis, as tuples, of word (i, j) -> [r[i*g + j] for r in R].
+
+        This is the degree-2 comparison map of a quadric's dual onto the
+        dual of S (cliff.dual_central_element), on the given degree-2
+        words.  It is cached per word tuple beside integer_rows, so every
+        member of a pencil with the same words reuses it.
+        """
+        rows = self.integer_rows()[0]
+        kernels, words = self._rows[3], tuple(words)
+        if words not in kernels:
+            g = self.num_generators
+            ker = kernel_basis(Matrix.of_integers(
+                [[r[i * g + j] for i, j in words] for r in rows], len(words)))
+            kernels[words] = [tuple(c) for c in ker.columns()]
+        return kernels[words]
 
     @property
     def num_generators(self) -> int:

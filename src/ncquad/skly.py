@@ -13,10 +13,23 @@ The pencil scan drives the Clifford construction at many rational
 parameters and recovers the number of distinct singular members from
 the vanishing locus of the trace-form determinant, reconstructed
 exactly as a function of the pencil parameter.
+
+Process model: where os.fork exists, at least two CPUs are usable and
+no second thread is alive, the scan forks one helper process that
+builds the odd-indexed samples, in sample order, while the caller builds
+the even-indexed ones.  The helper pickles each outcome down a pipe; the
+caller reads them in sample order and runs the one scan loop over all of
+them, so the fit, the stop and the skips see the same sequence as a scan
+in one process.  A member's outcome depends only on S and its lift, not
+on the process that built it, which is why the report is the same either
+way.  If the fork itself fails, the scan runs in one process.  The
+helper is killed and reaped before the scan returns or raises.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import index
@@ -399,6 +412,62 @@ class _RootFit:
 PATTERN_SKIP = "normal-word basis pattern differs from majority"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (tests replace it to simulate one)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+def _fork_helper(S: QuadraticPresentation, lifts: list):
+    """Fork a process that builds the members at lifts, in order.
+
+    Returns (None, None, None) where a fork cannot pay, is unsafe or
+    fails: no os.fork, one usable CPU, a second thread alive, or an
+    OSError from the fork itself.  Otherwise returns
+    (pid, pipe, receive).  Each of the helper's outcomes, (value, pattern)
+    or the exception _scan_sample raised, goes down the pipe pickled and
+    flushed as soon as it is known, and receive(lam) returns the next one
+    or raises it.  The helper ends only through os._exit, so it runs none
+    of the caller's atexit handlers and flushes none of its buffers.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() != 1:
+        return None, None, None
+    import pickle
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None, None, None
+    if pid == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                for lift in lifts:
+                    try:
+                        outcome = _scan_sample(S, lift)
+                    except Exception as exc:
+                        outcome = exc
+                    pickle.dump(outcome, out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    pipe = open(read, "rb")
+
+    def receive(lam):
+        try:
+            outcome = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("the helper process ended before sample %s"
+                               % qq_str(lam)) from None
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    return pid, pipe, receive
+
+
 def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                         samples, degree_bound: int,
                         table: GradedTable | None = None) -> PencilReport:
@@ -407,9 +476,20 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     At each sample t the 8-dimensional invariant algebra of S/(z_t) is
     built and the determinant of its trace Gram matrix evaluated
     exactly, normalized by the square of the w^2-pullback determinant so
-    the value v(t) does not depend on the scale of w.  Members are built
+    the value v(t) does not depend on the scale of w.  Members are used
     one at a time, in the order given, and the scan stops as soon as the
-    fit below is proved; samples after that are never built.
+    fit below is proved; samples after that are never used.
+
+    Where a forked helper can run (see the module docstring), it builds
+    the odd-indexed samples and the caller the even-indexed ones.  The
+    caller reads the helper's outcomes in sample order: a
+    HypothesisViolation is skipped as in one process, any other exception
+    is re-raised at its sample's position and only if the scan gets that
+    far, and what the helper built past the stop is discarded.  So the
+    report, the skips and every raised error are those of a scan in one
+    process.  If the helper dies before its outcome arrives, RuntimeError
+    names the sample.  The helper is killed (SIGKILL) and reaped in this
+    function's own finally clause, before it returns or raises.
 
     The basis pattern can make the values rational rather than
     polynomial in t (their denominator tracks pattern changes outside
@@ -483,27 +563,38 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     counts: dict = {}
     main = fit = None
     points: list = []
-    for lam in samples:
-        lift = [a + lam * b for a, b in zip(omega1_lift, omega2_lift)]
-        try:
-            value, pattern = _scan_sample(S, lift)
-        except HypothesisViolation as exc:
-            built.append((lam, None, str(exc)))
-            continue
-        built.append((lam, pattern, value))
-        if fit is None:
-            counts[pattern] = counts.get(pattern, 0) + 1
-            if counts[pattern] < fit_size:
+    lifts = [[a + lam * b for a, b in zip(omega1_lift, omega2_lift)] for lam in samples]
+    helper, pipe, receive = _fork_helper(S, lifts[1::2])
+    try:
+        for i, lam in enumerate(samples):
+            try:
+                if helper is None or i % 2 == 0:
+                    value, pattern = _scan_sample(S, lifts[i])
+                else:
+                    value, pattern = receive(lam)
+            except HypothesisViolation as exc:
+                built.append((lam, None, str(exc)))
                 continue
-            main = pattern
-            points = [(x, v) for x, p, v in built if p == main]
-            fit = _RootFit(points, d)
-            stop = max(need, d + fit.degree + 1)
-        elif pattern == main:
-            fit.check(lam, value)
-            points.append((lam, value))
-            if len(points) == stop:
-                break
+            built.append((lam, pattern, value))
+            if fit is None:
+                counts[pattern] = counts.get(pattern, 0) + 1
+                if counts[pattern] < fit_size:
+                    continue
+                main = pattern
+                points = [(x, v) for x, p, v in built if p == main]
+                fit = _RootFit(points, d)
+                stop = max(need, d + fit.degree + 1)
+            elif pattern == main:
+                fit.check(lam, value)
+                points.append((lam, value))
+                if len(points) == stop:
+                    break
+    finally:  # here, not in a generator: a PencilError's traceback would keep it alive
+        if helper is not None:
+            from signal import SIGKILL
+            os.kill(helper, SIGKILL)
+            os.waitpid(helper, 0)
+            pipe.close()
     if not counts:
         raise PencilError("no sample admitted the construction")
     if len(points) < need:

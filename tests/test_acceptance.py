@@ -130,7 +130,9 @@ def _control_oracle_count():
 def test_criterion_06_pencil_algebraic_route(monkeypatch):
     # the scan stops once d + e + 1 = 49 members agree with a fit of degree
     # e = 16: 49 sklyanin members, and 50 control ones, as lambda = 0 has
-    # another normal-word pattern
+    # another normal-word pattern; one usable CPU keeps every build in this
+    # process, where the counts can see it
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 1)
     built = []
     scan_sample = skly._scan_sample
     monkeypatch.setattr(skly, "_scan_sample",

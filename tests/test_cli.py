@@ -303,6 +303,17 @@ def test_pencil_command(capsys):
     assert (payload["fit_degree"], payload["certified"]) == (16, True)
 
 
+def test_pencil_subprocess_prints_one_json_document():
+    # the scan forks a helper where two CPUs are usable; the helper ends
+    # through os._exit, so it flushes nothing of the parent's stdout
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "pencil", SKLY_FILE,
+                           "--omega1", "0", "--omega2", "1", "--samples", "42", "--json"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["distinct_root_count"] == 4  # Extra data would raise
+
+
 def test_pencil_below_the_certificate_still_reports(capsys):
     # 21 = min_samples(16) samples fit, but 33 are needed to certify
     code, out = run(capsys, "pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1",

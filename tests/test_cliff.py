@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from ncquad.cliff import (HypersurfaceData, HypothesisViolation,
                           even_clifford_oracle, verify_matrix_factorization,
                           word_vector_class)
 from ncquad.cli import resolve_z_spec
-from ncquad.exactlin import LaurentPoly, RationalSeries, det, qq
+from ncquad.exactlin import LaurentPoly, Matrix, RationalSeries, det, kernel_basis, qq
 from ncquad.families import (HYPERBOLIC_FORM, commutative_presentation,
                              sklyanin_gamma, sklyanin_presentation,
                              symmetric_form_to_element, word_vector)
@@ -62,6 +63,46 @@ def test_lift_in_the_relation_span_violates_independence(S, kind):
     # one step off the span, the same lift is accepted
     off = next(k for k in range(16) if S.relations[0][k])
     HypersurfaceData(S, [c + (k == off) for k, c in enumerate(lift)])
+
+
+def test_hypothesis_violation_survives_pickling():
+    exc = HypothesisViolation("regularity", "w is not regular")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is HypothesisViolation
+    assert (back.hypothesis, str(back)) == ("regularity", str(exc))
+    assert str(back) == "regularity hypothesis failed: w is not regular"
+
+
+def _direct_comparison_kernel(S, words):
+    g = S.num_generators
+    rows = [[r[i * g + j] for i, j in words] for r in S.integer_rows()[0]]
+    return [tuple(c) for c in kernel_basis(Matrix.of_integers(rows, len(words))).columns()]
+
+
+ALL_WORDS = [(i, j) for i in range(4) for j in range(4)]
+
+
+def test_rebound_relations_do_not_reuse_the_cached_comparison_kernel():
+    S = QuadraticPresentation(COMM.generator_names, COMM.relations)
+    comm_kernel = S.comparison_kernel(ALL_WORDS)
+    assert comm_kernel == _direct_comparison_kernel(COMM, ALL_WORDS)
+    S.relations = SKLY_A.relations
+    assert S.comparison_kernel(ALL_WORDS) == _direct_comparison_kernel(SKLY_A, ALL_WORDS)
+    assert S.comparison_kernel(ALL_WORDS) != comm_kernel
+
+
+def test_comparison_kernel_is_cached_per_word_set():
+    S, lift = _sklyanin_member("3")
+    w, dual_a, _ = dual_central_element(HypersurfaceData(S, lift))
+    words = dual_a.words[2]
+    assert S.comparison_kernel(words) == [tuple(w)]
+    w.append(0)  # the caller's w is its own copy, not the cached column
+    assert dual_central_element(HypersurfaceData(S, lift))[0] == w[:-1]
+    others = [words[1:], words[::-1], ALL_WORDS]
+    for other in others:
+        assert S.comparison_kernel(other) == _direct_comparison_kernel(S, other)
+    assert S.comparison_kernel(words) == [tuple(w[:-1])]
+    assert S.comparison_kernel(words) is S.comparison_kernel(list(words))
 
 
 def test_rebound_relations_do_not_reuse_the_cached_annihilator():
@@ -145,9 +186,10 @@ def _count_calls(monkeypatch, homes: dict) -> dict:
 # integer rows, and regularity checks each z-map by the rank of its integer
 # columns; the dual's relations are integer combinations of S's annihilator
 # rows, and the w^2 map is inverted on integer columns (inverse_columns).
-# So rref serves only S's annihilator, computed once per presentation, and
-# w's comparison kernel: 2 for a presentation's first member, 1 for each
-# later one.  The z-maps, the w^2 map, C(A)'s unit and its prefix products
+# So rref serves only S's annihilator and w's comparison kernel, each
+# computed once per presentation (the kernel once per set of degree-2 normal
+# words): 2 for a presentation's first member, 0 for a later one with the
+# same words.  The z-maps, the w^2 map, C(A)'s unit and its prefix products
 # are integer column combinations (exactlin.combine), and Matrix has no
 # product, so nothing calls multiply.
 @pytest.mark.parametrize("lam, want", [
@@ -160,7 +202,7 @@ def test_member_work_counts(monkeypatch, lam, want):
     clifford_with_scale(HypersurfaceData(S, lift))
     assert counts == want
     clifford_with_scale(HypersurfaceData(S, lift))
-    assert counts == {"multiply": 0, "rref": want["rref"] + 1, "det": 2 * want["det"]}
+    assert counts == {"multiply": 0, "rref": want["rref"], "det": 2 * want["det"]}
 
 
 # Elimination calls of analyze on C(A) of a sklyanin_a member (rref counts

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -184,6 +188,32 @@ def test_fat_point_sequence_lines_in_different_rulings():
 
 # -- pencil scan --
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Simulate one usable CPU: no helper forks, so this process builds every member."""
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture
+def helper_forks(monkeypatch):
+    """Simulate two usable CPUs; the list of helper pids the scans fork."""
+    return _force_helper(monkeypatch)
+
+
+def _force_helper(monkeypatch):
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 2)
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
 def test_degenerate_pencil_constant(monkeypatch):
     # omega2 = omega1: every member is the same quadric, so there is no
     # count to certify; the scan refuses before building a member
@@ -196,18 +226,19 @@ def test_degenerate_pencil_constant(monkeypatch):
         pencil_discriminant(comm, q1, q1, list(range(-2, 15)), 3)
 
 
+def _failed_member_scan(monkeypatch):
+    # v = (t + 2)^2, and the member at t = -1 (index 1) violates regularity
+    def scan(S, lift):
+        if lift[0] == -1:
+            raise HypothesisViolation("regularity", "w is not regular")
+        return (lift[0] + 2) ** 2, ()
+    monkeypatch.setattr(skly, "_scan_sample", scan)
+    return pencil_discriminant(*_comm_pencil(), list(range(-2, 9)), 4)
+
+
 def test_failed_member_is_skipped_with_its_reason(monkeypatch):
     # a member whose construction fails is recorded with the failure and skipped
-    comm, q1, q2 = _comm_pencil()
-    samples = list(range(-2, 9))
-    values = iter([qq(lam + 2) ** 2 for lam in samples if lam != -1])
-
-    def scan(S, lift):
-        if lift == [a - b for a, b in zip(q1, q2)]:
-            raise HypothesisViolation("regularity", "w is not regular")
-        return next(values), ()
-    monkeypatch.setattr(skly, "_scan_sample", scan)
-    report = pencil_discriminant(comm, q1, q2, samples, 4)
+    report = _failed_member_scan(monkeypatch)
     assert report.skipped == [(-1, "regularity hypothesis failed: w is not regular")]
     assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
 
@@ -309,7 +340,7 @@ SEED1_SAMPLES = [0, 1, 2, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20,
 
 @pytest.mark.parametrize("pencil, built", [(_sklyanin_a_pencil, 33), (_control_pencil, 34)],
                          ids=["sklyanin_a", "control"])
-def test_root_fit_matches_direct_fit(monkeypatch, pencil, built):
+def test_root_fit_matches_direct_fit(monkeypatch, one_cpu, pencil, built):
     # reference: the direct fit of the values at degrees (d, d) through the
     # first 2d + 2 samples of the main pattern, from the test's own member
     # builds; the scan itself stops after d + e + 1 = 33 agreeing members
@@ -332,16 +363,22 @@ def test_root_fit_matches_direct_fit(monkeypatch, pencil, built):
         report.numerator, report.denominator)
 
 
-def _patched_scan(monkeypatch, values, patterns=None):
-    """Make the scan read the given values, in sample order, one pattern unless
-    patterns are given; returns the list of the members the scan builds."""
-    it = iter(zip(values, patterns or [()] * len(values)))
+def _patched_scan(monkeypatch, samples, values, patterns=None):
+    """Make the member at samples[k] read values[k], and one pattern unless
+    patterns are given; returns the lifts of the members this process builds.
+
+    The outcomes are keyed by lambda, the first lift coordinate in
+    _comm_pencil, so they do not depend on which process builds a member.
+    """
+    outcomes = dict(zip(map(qq, samples), zip(values, patterns or [()] * len(values))))
     built = []
-    monkeypatch.setattr(skly, "_scan_sample", lambda S, lift: built.append(lift) or next(it))
+    monkeypatch.setattr(skly, "_scan_sample",
+                        lambda S, lift: built.append(lift) or outcomes[lift[0]])
     return built
 
 
 def _comm_pencil():
+    # omega1 has no x0 x0 term and omega2 has x0 x0 = 1: lift[0] is lambda
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
     q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
     return commutative_presentation(), q1, q2
@@ -350,7 +387,7 @@ def _comm_pencil():
 def test_scan_with_zero_first_value_fits(monkeypatch):
     # v = (t + 2)^2 vanishes at the first sample; v0 is the next value
     samples = list(range(-2, 7))
-    _patched_scan(monkeypatch, [qq(lam + 2) ** 2 for lam in samples])
+    _patched_scan(monkeypatch, samples, [qq(lam + 2) ** 2 for lam in samples])
     report = pencil_discriminant(*_comm_pencil(), samples, 4)
     assert report.sample_values[0] == (-2, 0)
     assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
@@ -366,7 +403,7 @@ def test_fit_is_checked_at_every_fit_point(monkeypatch):
     samples = list(range(-2, 7))
     values = [qq(lam + 2) ** 2 for lam in samples]
     values[2] *= 4
-    _patched_scan(monkeypatch, values)
+    _patched_scan(monkeypatch, samples, values)
     with pytest.raises(PencilError, match="inconsistent"):
         pencil_discriminant(*_comm_pencil(), samples, 4)
 
@@ -376,7 +413,7 @@ def test_fit_is_checked_at_every_fit_point(monkeypatch):
                          ids=["not-a-square", "negative"])
 def test_ratio_that_is_no_square_names_the_sample(monkeypatch, values):
     # v0 = v(1); at t = 2 the ratio v / v0 is 4/3, or -4
-    _patched_scan(monkeypatch, values)
+    _patched_scan(monkeypatch, range(1, 10), values)
     with pytest.raises(PencilError, match="at sample 2 is not"):
         pencil_discriminant(*_comm_pencil(), list(range(1, 10)), 4)
 
@@ -386,10 +423,9 @@ def test_square_of_degree_above_the_bound_is_refused(monkeypatch):
     # square has degree 16, inside the bound only at d = 16
     samples = list(range(21))
     values = [qq(lam + 2, lam + 30) ** 16 for lam in samples]
-    _patched_scan(monkeypatch, values)
+    _patched_scan(monkeypatch, samples, values)
     report = pencil_discriminant(*_comm_pencil(), samples, 16)
     assert len(report.numerator) == len(report.denominator) == 17
-    _patched_scan(monkeypatch, values)
     with pytest.raises(PencilError, match="inconsistent at degree bound 15"):
         pencil_discriminant(*_comm_pencil(), samples, 15)
 
@@ -398,7 +434,7 @@ def test_fit_solves_the_half_degree_system(monkeypatch):
     # the only kernel_basis call of the fit has 2 ceil(d / 2) + 2 columns,
     # not the 2d + 2 of a fit of the values themselves
     samples = list(range(21))
-    _patched_scan(monkeypatch, [7 * qq(lam + 2, lam + 30) ** 4 for lam in samples])
+    _patched_scan(monkeypatch, samples, [7 * qq(lam + 2, lam + 30) ** 4 for lam in samples])
     cols = []
 
     def counted(m):
@@ -416,12 +452,12 @@ def _degree_eight_values(samples):
     return [7 * qq(lam + 2, lam + 30) ** 8 for lam in samples]
 
 
-def test_scan_stops_once_d_plus_e_plus_one_samples_agree(monkeypatch):
+def test_scan_stops_once_d_plus_e_plus_one_samples_agree(monkeypatch, one_cpu):
     # the value at t = 17 is wrong, but the scan never builds that member
     samples = list(range(24))
     values = _degree_eight_values(samples)
     values[17] *= 4
-    built = _patched_scan(monkeypatch, values)
+    built = _patched_scan(monkeypatch, samples, values)
     report = pencil_discriminant(*_comm_pencil(), samples, 8)
     assert len(built) == 17
     assert (report.fit_degree, report.certified) == (8, True)
@@ -430,36 +466,180 @@ def test_scan_stops_once_d_plus_e_plus_one_samples_agree(monkeypatch):
     assert report.to_dict()["fit_degree"] == 8
 
 
-def test_disagreement_before_the_stop_names_the_sample(monkeypatch):
+def test_disagreement_before_the_stop_names_the_sample(monkeypatch, one_cpu):
     # t = 15 lies past the 2h + 2 = 10 fit points and before the stop at 17;
     # its value is 4 times the fitted one, so its root is still rational
     samples = list(range(24))
     values = _degree_eight_values(samples)
     values[15] *= 4
-    built = _patched_scan(monkeypatch, values)
+    built = _patched_scan(monkeypatch, samples, values)
     with pytest.raises(PencilError, match="at sample 15 disagrees"):
         pencil_discriminant(*_comm_pencil(), samples, 8)
     assert len(built) == 16
 
 
-def test_too_few_samples_to_certify_builds_them_all(monkeypatch):
+def test_too_few_samples_to_certify_builds_them_all(monkeypatch, one_cpu):
     # 15 samples reach min_samples(8) = 13 but not d + e + 1 = 17
     samples = list(range(15))
-    built = _patched_scan(monkeypatch, _degree_eight_values(samples))
+    built = _patched_scan(monkeypatch, samples, _degree_eight_values(samples))
     report = pencil_discriminant(*_comm_pencil(), samples, 8)
     assert len(built) == 15
     assert (report.fit_degree, report.certified, len(report.sample_values)) == (8, False, 15)
     assert report.squarefree_degree == 1
 
 
-def test_other_pattern_first_is_not_the_main_pattern(monkeypatch):
+def test_other_pattern_first_is_not_the_main_pattern(monkeypatch, one_cpu):
     # as lambda = 0 in the control pencil: the first member has another
     # pattern (and a value off the fit); it is skipped, not fitted
     samples = list(range(12))
     values = [qq(5)] + [qq(lam + 2) ** 2 for lam in samples[1:]]
-    built = _patched_scan(monkeypatch, values, [("other",)] + [()] * 11)
+    built = _patched_scan(monkeypatch, samples, values, [("other",)] + [()] * 11)
     report = pencil_discriminant(*_comm_pencil(), samples, 4)
     assert report.skipped == [(0, skly.PATTERN_SKIP)]
     assert [lam for lam, _ in report.sample_values] == list(range(1, 10))
     assert len(built) == 10
     assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
+
+
+# -- the helper process that builds the odd-indexed members --
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("pencil", [_sklyanin_a_pencil, _control_pencil],
+                         ids=["sklyanin_a", "control"])
+def test_helper_leaves_the_report_unchanged(monkeypatch, pencil):
+    args = pencil()
+    with monkeypatch.context() as m:
+        m.setattr(skly, "_usable_cpus", lambda: 1)
+        alone = pencil_discriminant(*args[:3], SEED1_SAMPLES, 16, table=args[3])
+    pids = _force_helper(monkeypatch)
+    shared = pencil_discriminant(*args[:3], SEED1_SAMPLES, 16, table=args[3])
+    assert len(pids) == 1
+    assert shared.to_dict() == alone.to_dict()
+    _no_child_left()
+
+
+def test_helper_skips_a_hypothesis_violation_with_its_reason(monkeypatch, helper_forks):
+    # t = -1 has index 1, so the helper builds it and pickles the violation
+    report = _failed_member_scan(monkeypatch)
+    assert helper_forks
+    assert report.skipped == [(-1, "regularity hypothesis failed: w is not regular")]
+    _no_child_left()
+
+
+def _erring_scan(monkeypatch, bad):
+    # v = 7 ((t + 2) / (t + 30))^8 at t = 0..23, stopping at t = 16; the
+    # member at t = bad raises a ValueError
+    values = dict(zip(range(24), _degree_eight_values(range(24))))
+
+    def scan(S, lift):
+        if lift[0] == bad:
+            raise ValueError("no member at %s" % bad)
+        return values[lift[0]], ()
+    monkeypatch.setattr(skly, "_scan_sample", scan)
+    return pencil_discriminant(*_comm_pencil(), list(range(24)), 8)
+
+
+def test_helper_error_is_raised_at_its_sample(monkeypatch, helper_forks):
+    with pytest.raises(ValueError, match="^no member at 5$"):
+        _erring_scan(monkeypatch, 5)
+    assert helper_forks
+    _no_child_left()
+
+
+def test_helper_error_past_the_stop_is_never_raised(monkeypatch, helper_forks):
+    # the helper may build t = 19 before the scan stops, but no one reads it
+    report = _erring_scan(monkeypatch, 19)
+    assert (report.certified, len(report.sample_values)) == (True, 17)
+    assert helper_forks
+    _no_child_left()
+
+
+def test_no_helper_outlives_a_failed_scan(monkeypatch, helper_forks):
+    samples = list(range(24))
+    values = _degree_eight_values(samples)
+    values[15] *= 4
+    _patched_scan(monkeypatch, samples, values)
+    with pytest.raises(PencilError, match="at sample 15 disagrees"):
+        pencil_discriminant(*_comm_pencil(), samples, 8)
+    assert helper_forks
+    _no_child_left()
+
+
+def test_helper_that_dies_names_the_sample(monkeypatch, helper_forks):
+    # the helper exits at t = 5 (index 5) without sending an outcome
+    parent = os.getpid()
+    values = dict(zip(range(24), _degree_eight_values(range(24))))
+
+    def scan(S, lift):
+        if lift[0] == 5 and os.getpid() != parent:
+            os._exit(0)
+        return values[lift[0]], ()
+    monkeypatch.setattr(skly, "_scan_sample", scan)
+    with pytest.raises(RuntimeError, match="before sample 5$"):
+        pencil_discriminant(*_comm_pencil(), list(range(24)), 8)
+    _no_child_left()
+
+
+def test_no_helper_with_one_cpu_or_a_second_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("a helper was forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+    samples = list(range(-2, 7))
+    _patched_scan(monkeypatch, samples, [qq(lam + 2) ** 2 for lam in samples])
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 1)
+    assert pencil_discriminant(*_comm_pencil(), samples, 4).certified
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert pencil_discriminant(*_comm_pencil(), samples, 4).certified
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def test_failed_fork_builds_every_member_here(monkeypatch):
+    # a fork refused by the system (EAGAIN at a process limit) leaves the
+    # scan to this process and closes the pipe it opened
+    def refused():
+        raise BlockingIOError("fork refused")
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    samples = list(range(-2, 7))
+    built = _patched_scan(monkeypatch, samples, [qq(lam + 2) ** 2 for lam in samples])
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    report = pencil_discriminant(*_comm_pencil(), samples, 4)
+    assert (len(built), report.certified) == (9, True)
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_helper_runs_no_atexit_handler_and_flushes_nothing():
+    # stdout is a pipe, so "head" sits in its buffer when the helper forks;
+    # a helper that exited normally would flush it and run the handler again.
+    # The scan needs all 21 samples, so the helper reaches its end and exits
+    # while this process still builds the last sample and the member at infinity
+    script = "\n".join([
+        "import atexit",
+        "from ncquad import skly",
+        "from ncquad.families import commutative_presentation, symmetric_form_to_element",
+        "skly._usable_cpus = lambda: 2",
+        "atexit.register(print, 'atexit')",
+        "print('head')",
+        "H = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]",
+        "Q = [[3, -2, 1, -2], [-2, 3, -2, -1], [1, -2, -1, -2], [-2, -1, -2, -3]]",
+        "report = skly.pencil_discriminant(commutative_presentation(),",
+        "    symmetric_form_to_element(H), symmetric_form_to_element(Q), range(1, 22), 16)",
+        "print(report.distinct_root_count, report.certified)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skly.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "head\n4 False\natexit\n"
