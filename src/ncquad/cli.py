@@ -211,11 +211,16 @@ def _cmd_center(args) -> int:
     return 0
 
 
-def _cmd_clifford(args) -> int:
+def _invariant_algebra(args, degree: int = 8):
+    """C(A) of the quadric cut out by the central --z in the presentation file."""
     p = _load_presentation(args.file)
     lift, table = resolve_z_spec(args.z, p)
     require_central(table, lift, "z")
-    alg = clifford_algebra(HypersurfaceData(p, lift), degree=max(args.degree, 8))
+    return clifford_algebra(HypersurfaceData(p, lift), degree=max(degree, 8))
+
+
+def _cmd_clifford(args) -> int:
+    alg = _invariant_algebra(args, args.degree)
     report = analyze(alg)
     payload = {
         "dim": alg.dim,
@@ -235,10 +240,7 @@ def _cmd_clifford(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    p = _load_presentation(args.file)
-    lift, table = resolve_z_spec(args.z, p)
-    require_central(table, lift, "z")
-    report = analyze(clifford_algebra(HypersurfaceData(p, lift)))
+    report = analyze(_invariant_algebra(args))
     d = report.to_dict()
     _emit(args, d, ["%s: %s" % (k, d[k]) for k in
                     ("dim", "radical_dim", "center_dim", "ss_center_dim",

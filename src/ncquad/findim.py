@@ -168,13 +168,12 @@ def radical(alg: FinDimAlgebra) -> Matrix:
     Cross-verified: the subspace is a two-sided ideal, some power of it
     vanishes, and the quotient trace form is nondegenerate.
     """
+    return _cross_verify_radical(alg)[0]
+
+
+def _cross_verify_radical(alg: FinDimAlgebra) -> tuple:
+    """(rad, quo): the trace form's kernel, cross-verified (see radical), and the quotient."""
     rad = kernel_basis(trace_gram(alg))
-    _cross_verify_radical(alg, rad)
-    return rad
-
-
-def _cross_verify_radical(alg: FinDimAlgebra, rad: Matrix) -> FinDimAlgebra:
-    """Check rad is a nilpotent two-sided ideal; return the semisimple quotient."""
     n = alg.dim
     rad_rows = [to_column(c)[1] for c in rad.columns()]
     span = SpanBuilder(n)
@@ -197,7 +196,7 @@ def _cross_verify_radical(alg: FinDimAlgebra, rad: Matrix) -> FinDimAlgebra:
     quo, _ = quotient_by_subspace(alg, rad)
     if quo.dim and det(trace_gram(quo)) == 0:
         raise RuntimeError("radical cross-check failed: quotient trace form degenerate")
-    return quo
+    return rad, quo
 
 
 def quotient_by_subspace(alg: FinDimAlgebra, ideal: Matrix):
@@ -308,9 +307,7 @@ def analyze(alg: FinDimAlgebra) -> AnalysisReport:
     representations: every geometric simple block is then a 2x2 matrix
     block over the closure and contributes exactly one central line.
     """
-    # radical(alg), keeping the quotient its cross-check built and validated
-    rad = kernel_basis(trace_gram(alg))
-    quo = _cross_verify_radical(alg, rad)
+    rad, quo = _cross_verify_radical(alg)
     center_dim = center_basis(alg).cols
     ss_center_dim = center_dim if quo is alg else center_basis(quo).cols
     absent = one_dim_reps_absent(alg, rad)

@@ -203,8 +203,9 @@ class GradedTable:
     exactlin), and ``right_cols[n][i]`` the same on the right, derived
     from the left maps on first read; ``left`` and ``right`` are their
     Matrix views, built on first access.  From degree ``period_start`` on
-    (None when it never happens) the maps repeat with period 2:
-    ``left_cols[n] is left_cols[n - 2]``, and so on.
+    (None when it never happens) the left maps repeat with period 2:
+    ``left_cols[n] is left_cols[n - 2]``; it is read off the left maps
+    alone, and the right maps need not repeat from there.
     """
 
     presentation: QuadraticPresentation
@@ -214,10 +215,8 @@ class GradedTable:
     left_cols: list[list[list]]
     period_start: int | None = None
 
-    left = cached_property(lambda self: _views(self.left_cols, lambda n, by_gen: [
-        column_matrix(cols, self.dims[n + 1]) for cols in by_gen]))
-    right = cached_property(lambda self: _views(self.right_cols, lambda n, by_gen: [
-        column_matrix(cols, self.dims[n + 1]) for cols in by_gen]))
+    left = cached_property(lambda self: self._views(self.left_cols))
+    right = cached_property(lambda self: self._views(self.right_cols))
 
     @cached_property
     def right_cols(self) -> list:
@@ -240,13 +239,13 @@ class GradedTable:
                             for i in range(g)])
         return out
 
-
-def _views(maps: list, view) -> list:
-    """[view(n, maps[n])], one view shared wherever maps[n] is maps[n - 2]."""
-    out = []
-    for n, m in enumerate(maps):
-        out.append(out[n - 2] if n >= 2 and m is maps[n - 2] else view(n, m))
-    return out
+    def _views(self, maps: list) -> list:
+        """Matrix views of maps, one shared wherever maps[n] is maps[n - 2]."""
+        out = []
+        for n, by_gen in enumerate(maps):
+            out.append(out[n - 2] if n >= 2 and by_gen is maps[n - 2] else
+                       [column_matrix(cols, self.dims[n + 1]) for cols in by_gen])
+        return out
 
 
 def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
@@ -395,22 +394,29 @@ def element_word_lift(table: GradedTable, vec: list, degree: int) -> list:
     return out
 
 
+def _right_products(table: GradedTable, i: int, support) -> dict:
+    """{b: column of b x_i} for degree-2 basis words b in support: (x_k x_l) x_i = x_k (x_l x_i)."""
+    if table.max_degree < 3:
+        raise ValueError("need a table through degree 3")
+    left, words = table.left_cols, table.words[2]
+    return {b: combine(left[2][words[b][0]], left[1][words[b][1]][i]) for b in support}
+
+
 def central_quadratic_space(table: GradedTable) -> Matrix:
     """Basis of {z in A_2 : z x = x z for all x in A_1}, as columns.
 
     Commuting with the generators forces commuting with everything in
     degree-one-generated algebras, so the degree-3 linear system is a
-    full centrality certificate for degree-2 elements.
+    full centrality certificate for degree-2 elements.  Rows are scaled
+    to integers, which leaves the kernel alone.
     """
-    if table.max_degree < 3:
-        raise ValueError("need a table through degree 3")
-    g = table.presentation.num_generators
-    d2 = table.dims[2]
-    rows = []
-    for i in range(g):
-        rows.extend([a - b for a, b in zip(ra, la)]
-                    for ra, la in zip(table.right[2][i].entries, table.left[2][i].entries))
-    return kernel_basis(Matrix.from_rows(rows, cols=d2))
+    d2, rows = table.dims[2], []
+    for i in range(table.presentation.num_generators):
+        right, left = _right_products(table, i, range(d2)), table.left_cols[2][i]
+        cols = [combine((right[b], left[b]), (1, {0: 1, 1: -1})) for b in range(d2)]
+        s = lcm(*[e for e, _ in cols])
+        rows += [[nums.get(t, 0) * (s // e) for e, nums in cols] for t in range(table.dims[3])]
+    return kernel_basis(Matrix.of_integers(rows, d2))
 
 
 @dataclass
@@ -451,11 +457,9 @@ def noncentral_generator(table: GradedTable, z: list) -> int | None:
     None certifies that z is central, for the reason given in
     central_quadratic_space; the table must reach degree 3.
     """
-    z, left, words = to_column(z), table.left_cols, table.words[2]
+    z = to_column(z)
     for i in range(table.presentation.num_generators):
-        # z x_i word by word, through the left maps: (x_k x_l) x_i = x_k (x_l x_i)
-        zx = {b: combine(left[2][words[b][0]], left[1][words[b][1]][i]) for b in z[1]}
-        if combine(zx, z) != combine(left[2][i], z):
+        if combine(_right_products(table, i, z[1]), z) != combine(table.left_cols[2][i], z):
             return i
     return None
 
@@ -469,9 +473,11 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
     enlarges the span of the ones before it.  Each basis word x_i t of
     degree n >= 1 has a basis word t of degree n - 1 as its tail, so its
     column is left multiplication by x_i applied to column t of the map
-    out of degree n - 1: z x_i t = x_i (z t).  Degrees from max(2,
-    period_start - 1) on share their generator maps with n - 2 and reuse
-    its map and verdict; they are listed in ``repeated``.
+    out of degree n - 1: z x_i t = x_i (z t).  So the map out of degree n
+    is sum c_kl L_{n+1,k} L_{n,l} over the words x_k x_l of z, L_n the
+    left maps out of degree n; from max(2, period_start - 1) on both equal
+    those two degrees down, and the degree reuses the map and verdict of
+    n - 2.  Such degrees are listed in ``repeated``.
     """
     if bound > table.max_degree:
         raise ValueError("bound exceeds table degree")

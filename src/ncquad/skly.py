@@ -17,13 +17,16 @@ exactly as a function of the pencil parameter.
 Process model: where os.fork exists, at least two CPUs are usable and
 no second thread is alive, the scan forks one helper process that
 builds the odd-indexed samples, in sample order, while the caller builds
-the even-indexed ones.  The helper pickles each outcome down a pipe; the
-caller reads them in sample order and runs the one scan loop over all of
-them, so the fit, the stop and the skips see the same sequence as a scan
-in one process.  A member's outcome depends only on S and its lift, not
-on the process that built it, which is why the report is the same either
-way.  If the fork itself fails, the scan runs in one process.  The
-helper is killed and reaped before the scan returns or raises.
+the even-indexed ones.  The helper pickles each outcome, (value,
+pattern) or the exception raised, down a pipe and flushes it at once.
+An outcome depends only on S and its sample, and the caller reads them
+in sample order through the one scan loop, so the fit, the stop and the
+skips see what a scan in one process sees: a HypothesisViolation is
+skipped, any other exception is re-raised at its sample's position only
+if the scan gets that far, and outcomes past the stop are never read.
+If the fork fails, the scan runs in one process; if the helper dies
+first, RuntimeError names the sample.  pencil_discriminant's finally
+clause kills (SIGKILL) and reaps the helper.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
 from .exactlin import (Matrix, SpanBuilder, det, kernel_basis, poly_degree, poly_divmod,
                        poly_gcd, poly_mul, poly_squarefree_degree,
                        poly_trim, qq, qq_str)
-from .findim import analyze, trace_gram
+from .findim import trace_gram
 from .qalg import GradedTable, QuadraticPresentation, build_table
 
 
@@ -418,17 +421,14 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
-def _fork_helper(S: QuadraticPresentation, lifts: list):
-    """Fork a process that builds the members at lifts, in order.
+def _fork_helper(member, samples: list):
+    """Fork a process that runs member at each of samples, in order.
 
     Returns (None, None, None) where a fork cannot pay, is unsafe or
-    fails: no os.fork, one usable CPU, a second thread alive, or an
-    OSError from the fork itself.  Otherwise returns
-    (pid, pipe, receive).  Each of the helper's outcomes, (value, pattern)
-    or the exception _scan_sample raised, goes down the pipe pickled and
-    flushed as soon as it is known, and receive(lam) returns the next one
-    or raises it.  The helper ends only through os._exit, so it runs none
-    of the caller's atexit handlers and flushes none of its buffers.
+    fails (see the module docstring), else (pid, pipe, receive), and
+    receive(lam) returns the next outcome or raises its exception.  The
+    helper ends only through os._exit, running no atexit handler and
+    flushing no buffer of the caller's.
     """
     if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() != 1:
         return None, None, None
@@ -444,9 +444,9 @@ def _fork_helper(S: QuadraticPresentation, lifts: list):
         try:
             os.close(read)
             with open(write, "wb") as out:
-                for lift in lifts:
+                for lam in samples:
                     try:
-                        outcome = _scan_sample(S, lift)
+                        outcome = member(lam)
                     except Exception as exc:
                         outcome = exc
                     pickle.dump(outcome, out)
@@ -478,18 +478,10 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     exactly, normalized by the square of the w^2-pullback determinant so
     the value v(t) does not depend on the scale of w.  Members are used
     one at a time, in the order given, and the scan stops as soon as the
-    fit below is proved; samples after that are never used.
-
-    Where a forked helper can run (see the module docstring), it builds
-    the odd-indexed samples and the caller the even-indexed ones.  The
-    caller reads the helper's outcomes in sample order: a
-    HypothesisViolation is skipped as in one process, any other exception
-    is re-raised at its sample's position and only if the scan gets that
-    far, and what the helper built past the stop is discarded.  So the
-    report, the skips and every raised error are those of a scan in one
-    process.  If the helper dies before its outcome arrives, RuntimeError
-    names the sample.  The helper is killed (SIGKILL) and reaped in this
-    function's own finally clause, before it returns or raises.
+    fit below is proved; later samples are never used.  Each member's
+    lift omega1 + t*omega2 is built when its sample is reached, by the
+    process that builds the member (see the module docstring), so an
+    error in it is that member's error.
 
     The basis pattern can make the values rational rather than
     polynomial in t (their denominator tracks pattern changes outside
@@ -533,13 +525,17 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     and when the main pattern ends with fewer than min_samples(d)
     samples.  ValueError is raised, before any member is built, when the
     classes of omega1 and omega2 are dependent: every member is then the
-    same quadric.  A repeated value would leave the fit underdetermined, so
-    the samples must be distinct as rationals.  mode is "polynomial"
-    when the reduced denominator is 1, else "rational".
-    Distinct roots of the numerator over the closure are counted through
-    its squarefree part; the member at infinity (omega2 alone) is
-    analyzed separately and merged into the count.
+    same quadric, when degree_bound is not a nonnegative integer, and when
+    table does not reach degree 3 or is a table of another algebra.  A
+    repeated value would leave the fit underdetermined, so the samples
+    must be distinct as rationals.  mode is "polynomial" when the reduced
+    denominator is 1, else "rational".  Distinct roots of the numerator
+    over the closure are counted through its squarefree part; the member
+    at infinity (omega2 alone) is singular when its trace form is
+    degenerate, the samples' criterion v = 0, and joins the count.
     """
+    if isinstance(degree_bound, bool) or not isinstance(degree_bound, int) or degree_bound < 0:
+        raise ValueError("degree bound must be a nonnegative integer, got %r" % (degree_bound,))
     samples = [qq(lam) for lam in samples]
     d = degree_bound
     need = min_samples(d)
@@ -547,6 +543,8 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:
         table = build_table(S, 3)
+    elif table.presentation is not S and not table.presentation.relation_span_equals(S):
+        raise ValueError("the table is not a table of this presentation")
     c1 = require_central(table, omega1_lift, "omega1")
     c2 = require_central(table, omega2_lift, "omega2")
     if len(set(samples)) != len(samples):
@@ -563,13 +561,15 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     counts: dict = {}
     main = fit = None
     points: list = []
-    lifts = [[a + lam * b for a, b in zip(omega1_lift, omega2_lift)] for lam in samples]
-    helper, pipe, receive = _fork_helper(S, lifts[1::2])
+
+    def member(lam):
+        return _scan_sample(S, [a + lam * b for a, b in zip(omega1_lift, omega2_lift)])
+    helper, pipe, receive = _fork_helper(member, samples[1::2])
     try:
         for i, lam in enumerate(samples):
             try:
                 if helper is None or i % 2 == 0:
-                    value, pattern = _scan_sample(S, lifts[i])
+                    value, pattern = member(lam)
                 else:
                     value, pattern = receive(lam)
             except HypothesisViolation as exc:
@@ -605,8 +605,8 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     mode = "polynomial" if fit.denominator == [1] else "rational"
     sq_degree = poly_squarefree_degree(fit.numerator)
 
-    inf_report = analyze(clifford_with_scale(HypersurfaceData(S, omega2_lift))[0])
-    infinity_singular = not inf_report.smooth
+    at_infinity = clifford_with_scale(HypersurfaceData(S, omega2_lift))[0]
+    infinity_singular = not det(trace_gram(at_infinity))
 
     return PencilReport(
         sample_values=points,

@@ -303,6 +303,13 @@ def test_pencil_command(capsys):
     assert (payload["fit_degree"], payload["certified"]) == (16, True)
 
 
+def test_pencil_report_does_not_depend_on_unused_samples(capsys):
+    # the scan stops after 33 members and builds no lift past them, so
+    # 80000 samples print the report of 42, in about the same time
+    argv = ["pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1", "--json"]
+    assert run(capsys, *argv, "--samples", "80000") == run(capsys, *argv, "--samples", "42")
+
+
 def test_pencil_subprocess_prints_one_json_document():
     # the scan forks a helper where two CPUs are usable; the helper ends
     # through os._exit, so it flushes nothing of the parent's stdout

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ncquad.cliff import require_central
 from ncquad.exactlin import Matrix, qq, qq_str, rank, rref
 from ncquad.families import (commutative_presentation, free_presentation,
                              sklyanin_gamma, sklyanin_presentation,
@@ -13,7 +14,8 @@ from ncquad.families import (commutative_presentation, free_presentation,
 from ncquad.qalg import (DegreeOverflowError, QuadraticPresentation, build_table,
                          central_quadratic_space, element_word_lift,
                          evaluate_word, hilbert, is_regular_central,
-                         koszul_dual, koszul_identity_check, multiply)
+                         koszul_dual, koszul_identity_check, multiply,
+                         noncentral_generator)
 
 ROOT = Path(__file__).resolve().parents[1]
 COMM = commutative_presentation()
@@ -153,6 +155,19 @@ def test_noncentral_detected():
     z = evaluate_word(table, (0, 0))
     cert = is_regular_central(table, z, 3)
     assert not cert.central
+
+
+def test_centrality_checks_need_a_table_through_degree_3():
+    # z x_i lies in degree 3: a table that stops at degree 2 is refused up
+    # front by each check, with the same message, not with an IndexError
+    table = build_table(SKLY, 2)
+    z = evaluate_word(table, (0, 0))
+    checks = [lambda: central_quadratic_space(table), lambda: noncentral_generator(table, z),
+              lambda: is_regular_central(table, z, 2),
+              lambda: require_central(table, word_vector(4, {(0, 0): 1}), "z")]
+    for check in checks:
+        with pytest.raises(ValueError, match="^need a table through degree 3$"):
+            check()
 
 
 def test_koszul_identity_commutative():

@@ -12,7 +12,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ncquad.cliff import HypersurfaceData, dual_central_element  # noqa: E402
@@ -36,9 +36,10 @@ def dense_table(p, max_degree):
     over the pivoting columns k = m - 1 - (i * d_n + t), so that rref's
     leftmost pivots are the lex-largest words.  The free columns, right
     to left, are the basis of degree n + 1; a pivot coordinate reduces
-    to minus its reduced row on the free columns.  period_start is the
-    first step whose inputs (dimensions, word shapes and the maps out of
-    degree n - 1) equal those of step n - 2.
+    to minus its reduced row on the free columns.  period_start is, as
+    build_table documents it, the first step whose inputs (dimensions,
+    word shapes and the left maps out of degree n - 1) equal those of
+    step n - 2; the right maps are not among them.
     """
     g = p.num_generators
     dims = [1, g]
@@ -86,7 +87,7 @@ def dense_table(p, max_degree):
     def inputs(n):
         tails = {w: b for b, w in enumerate(words[n - 1])}
         shape = [(w[0], tails[w[1:]]) for w in words[n]]
-        return dims[n - 1], dims[n], shape, left[n - 1], right[n - 1]
+        return dims[n - 1], dims[n], shape, left[n - 1]
 
     period_start = next((n for n in range(3, max_degree) if inputs(n) == inputs(n - 2)), None)
     return dims, words, left, right, period_start
@@ -128,8 +129,22 @@ def presentations(draw):
     return p, degree
 
 
+def sparse_presentation(g, relations):
+    """Generators x0 .. x{g-1} and relations given as {(i, j): coefficient}."""
+    return QuadraticPresentation(["x%d" % i for i in range(g)],
+                                 [word_vector(g, rel) for rel in relations])
+
+
+# the left maps repeat from degree 4 (left_cols[4] is left_cols[2]) while the
+# right maps out of degree 3 differ from those out of degree 1
+LEFT_PERIOD_ONLY = sparse_presentation(3, [
+    {(1, 0): 1}, {(0, 2): -1, (1, 2): 2}, {(0, 0): 1, (2, 2): -1},
+    {(0, 0): 1, (0, 2): 2}, {(0, 0): -2}, {(2, 1): -1}])
+
+
 @settings(max_examples=25, deadline=None)
 @given(presentations())
+@example((LEFT_PERIOD_ONLY, 5))
 def test_build_table_matches_dense_elimination(case):
     assert_matches_dense(*case)
 
@@ -225,6 +240,45 @@ def test_derived_right_maps_match_the_eager_recursion(name):
               if table.right_cols[n] is table.right_cols[n - 2]]
     assert shared == list(range(table.period_start or len(table.left_cols),
                                 len(table.left_cols)))
+
+
+def dense_central_space(table):
+    """Reference: the kernel of the dense Fraction rows of right[2][i] - left[2][i],
+    read off the Matrix views, one row block per generator."""
+    rows = []
+    for i in range(table.presentation.num_generators):
+        rows.extend([a - b for a, b in zip(ra, la)]
+                    for ra, la in zip(table.right[2][i].entries, table.left[2][i].entries))
+    return kernel_basis(Matrix.from_rows(rows, cols=table.dims[2]))
+
+
+def gl_changed_comm4():
+    """comm4 after the change of generators x = M y: the commutators as 2x2 minors of M."""
+    m = [[1, 2, -1, 0], [3, 7, -2, 1], [0, 1, 1, -2], [2, 4, -1, 1]]
+    return QuadraticPresentation(COMM.generator_names, [
+        [m[i][k] * m[j][l] - m[i][l] * m[j][k] for k in range(4) for l in range(4)]
+        for i in range(4) for j in range(i + 1, 4)])
+
+
+CENTRE_CASES = {
+    "comm4": lambda: COMM,
+    "sklyanin_a": lambda: SKLYANIN,
+    "sklyanin_b": lambda: QuadraticPresentation.load(
+        (Path(__file__).resolve().parents[1] / "presentations" / "sklyanin_b.json").read_text()),
+    "comm2": lambda: commutative_presentation(2),
+    "comm3": lambda: commutative_presentation(3),
+    "comm5": lambda: commutative_presentation(5),
+    "comm4_gl": gl_changed_comm4,
+}
+
+
+@pytest.mark.parametrize("name", list(CENTRE_CASES))
+def test_central_space_matches_the_dense_commutator_rows(name):
+    table = build_table(CENTRE_CASES[name](), 3)
+    centre = central_quadratic_space(table)
+    assert centre == dense_central_space(table)
+    assert centre.cols == {"sklyanin_a": 2, "sklyanin_b": 2, "comm2": 3, "comm3": 6,
+                           "comm5": 15}.get(name, 10)
 
 
 def commuting_space(table, k):

@@ -7,12 +7,14 @@ from collections import Counter
 import pytest
 
 from ncquad import skly
-from ncquad.cliff import HypothesisViolation
+from ncquad.cliff import HypersurfaceData, HypothesisViolation, clifford_algebra
 from ncquad.exactlin import kernel_basis, qq
 from ncquad.families import (commutative_presentation, sklyanin_gamma,
                              sklyanin_presentation, symmetric_form_to_element,
                              word_vector)
-from ncquad.qalg import build_table, central_quadratic_space, element_word_lift
+from ncquad.findim import analyze
+from ncquad.qalg import (QuadraticPresentation, build_table, central_quadratic_space,
+                         element_word_lift)
 from ncquad.skly import (INFINITY, Curve, ECPoint, PencilError, SecantLine,
                          fat_point_h0, pencil_discriminant)
 
@@ -361,6 +363,83 @@ def test_root_fit_matches_direct_fit(monkeypatch, one_cpu, pencil, built):
     assert report.distinct_root_count == 4
     assert skly._rational_fit(points[:34], 16, 16) == (
         report.numerator, report.denominator)
+
+
+def _diagonal_pencil():
+    # omega2 = diag(1, 2, 3, 0) has rank 3, so the member at infinity is singular
+    return (commutative_presentation(), word_vector(4, {(0, 3): 1, (1, 2): -1}),
+            word_vector(4, {(0, 0): 1, (1, 1): 2, (2, 2): 3}), None)
+
+
+@pytest.mark.parametrize("pencil, singular, count", [
+    (_sklyanin_a_pencil, False, 4), (lambda: (*_comm_pencil(), None), False, 2),
+    (_diagonal_pencil, True, 3)], ids=["sklyanin_a", "comm4", "singular-at-infinity"])
+def test_member_at_infinity_agrees_with_its_analysis(pencil, singular, count):
+    # the scan reads the member at infinity off its trace-form determinant;
+    # the reference is the full analysis of its C(A).  The first two are
+    # criterion 6's pencils, smooth at infinity
+    S, omega1, omega2, table = pencil()
+    report = pencil_discriminant(S, omega1, omega2, list(range(42)), 16, table=table)
+    assert analyze(clifford_algebra(HypersurfaceData(S, omega2))).smooth == (not singular)
+    assert (report.infinity_singular, report.distinct_root_count) == (singular, count)
+
+
+def _no_member(*args):
+    raise AssertionError("a member was built")
+
+
+def _no_fork():
+    raise AssertionError("a helper was forked")
+
+
+@pytest.mark.parametrize("bound", [-2, 2.5, "16", True])
+def test_bad_degree_bound_is_refused_before_any_member(monkeypatch, bound):
+    monkeypatch.setattr(skly, "_scan_sample", _no_member)
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    with pytest.raises(ValueError, match="^degree bound must be a nonnegative integer"):
+        pencil_discriminant(*_comm_pencil(), list(range(42)), bound)
+
+
+def test_table_must_reach_degree_3_and_be_of_this_algebra(monkeypatch):
+    monkeypatch.setattr(skly, "_scan_sample", _no_member)
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    comm, q1, q2 = _comm_pencil()
+    with pytest.raises(ValueError, match="^need a table through degree 3$"):
+        pencil_discriminant(comm, q1, q2, list(range(42)), 8, table=build_table(comm, 2))
+    # comm4's table would run sklyanin_a's centrality check in the wrong algebra
+    S, omega1, omega2, _ = _sklyanin_a_pencil()
+    with pytest.raises(ValueError, match="not a table of this presentation"):
+        pencil_discriminant(S, omega1, omega2, list(range(42)), 16, table=build_table(comm, 3))
+
+
+def test_table_of_the_same_relation_span_serves(monkeypatch, one_cpu):
+    comm, q1, q2 = _comm_pencil()
+    scaled = QuadraticPresentation(comm.generator_names,
+                                   [[-3 * c for c in r] for r in reversed(comm.relations)])
+    samples = list(range(24))
+    _patched_scan(monkeypatch, samples, _degree_eight_values(samples))
+    report = pencil_discriminant(comm, q1, q2, samples, 8, table=build_table(scaled, 3))
+    assert report.certified
+
+
+def test_no_lift_is_built_past_the_stop(monkeypatch):
+    # the scan stops at t = 16; building the lift of the sample at index 41,
+    # which cannot be multiplied, would raise
+    class Unmultipliable(type(qq(0))):
+        def __mul__(self, other):
+            raise TypeError("sample %s cannot be multiplied" % self)
+    samples = list(range(41)) + [Unmultipliable(41)]
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 1)
+    built = _patched_scan(monkeypatch, samples, _degree_eight_values(range(42)))
+    report = pencil_discriminant(*_comm_pencil(), samples, 8)
+    assert (len(built), report.certified, len(report.sample_values)) == (17, True, 17)
+    # a helper may run ahead into it, but its error is never read
+    pids = _force_helper(monkeypatch)
+    assert pencil_discriminant(*_comm_pencil(), samples, 8).to_dict() == report.to_dict()
+    assert pids
+    _no_child_left()
 
 
 def _patched_scan(monkeypatch, samples, values, patterns=None):
