@@ -334,13 +334,17 @@ def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
     (coefficient vectors over the generators).  On success the verdict
     carries the 2-periodic cokernel Hilbert series s * (1 - t)^(-3),
     whose rational-function identity with s * H_A(t)/(1 + t) encodes the
-    period-two syzygy behaviour of the cokernel.
+    period-two syzygy behaviour of the cokernel.  ValueError is raised
+    when table is a table of another algebra: one whose relations span
+    another subspace.
     """
     if not (_is_factor(phi) and _is_factor(psi)):
         raise ValueError("factors must be lists of lists of coefficient lists")
     g = S.num_generators
     if table is None:
         table = build_table(S, 2)
+    elif table.presentation is not S and not table.presentation.relation_span_equals(S):
+        raise ValueError("the table is not a table of this presentation")
     s = len(phi)
     if s == 0 or len(psi) != s or any(len(r) != s for r in phi) or any(len(r) != s for r in psi):
         raise ValueError("factors must be square matrices of equal size")

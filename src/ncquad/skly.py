@@ -15,18 +15,29 @@ the vanishing locus of the trace-form determinant, reconstructed
 exactly as a function of the pencil parameter.
 
 Process model: where os.fork exists, at least two CPUs are usable and
-no second thread is alive, the scan forks one helper process that
-builds the odd-indexed samples, in sample order, while the caller builds
-the even-indexed ones.  The helper pickles each outcome, (value,
-pattern) or the exception raised, down a pipe and flushes it at once.
-An outcome depends only on S and its sample, and the caller reads them
-in sample order through the one scan loop, so the fit, the stop and the
-skips see what a scan in one process sees: a HypothesisViolation is
-skipped, any other exception is re-raised at its sample's position only
-if the scan gets that far, and outcomes past the stop are never read.
-If the fork fails, the scan runs in one process; if the helper dies
-first, RuntimeError names the sample.  pencil_discriminant's finally
-clause kills (SIGKILL) and reaps the helper.
+no second thread is alive, the scan forks one helper process and feeds
+it jobs through a pipe: the member at infinity first, then sample
+indices, each time the lowest unassigned sample.  The helper builds its
+jobs in the order sent and pickles each outcome, with its job, down a
+second pipe at once.  The caller keeps the helper _AHEAD jobs ahead;
+when the outcome it needs next is not in hand, it builds the lowest
+unassigned sample itself, and it waits for the helper only when no
+sample worth building is left.  A sample is worth building while it lies
+among the fewest samples the scan can still read before it stops (with
+_AHEAD more before the fit sets the stop), so at most _AHEAD members are
+built past the stop, and none where the stop lies _AHEAD or more used
+samples past min_samples(d).  An outcome depends only on S and its job,
+and the caller uses them in sample order through the one scan loop, so
+the fit, the stop and the skips see what a scan in one process sees: a
+HypothesisViolation is skipped, any other exception is re-raised at its
+sample's position only if the scan gets that far, and the outcome of the
+member at infinity is read after the loop.  If the fork fails, the scan
+runs in one process; if the helper dies owing the outcome the scan
+needs, RuntimeError names that sample; if it sends nothing for a second
+while the caller waits (it is stopped, or starved of CPU), the caller
+kills it and builds the rest itself.  The helper is killed (SIGKILL)
+once the scan has read the member at infinity, or in
+pencil_discriminant's finally clause, which also reaps it.
 """
 
 from __future__ import annotations
@@ -421,51 +432,164 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
-def _fork_helper(member, samples: list):
-    """Fork a process that runs member at each of samples, in order.
+_AHEAD = 3              # jobs the helper is kept ahead by
+_AT_INFINITY = -1       # the job of the member at infinity; other jobs are sample indices
+_PATIENCE_MS = 1000     # the silence after which a waited-for helper is given up
 
-    Returns (None, None, None) where a fork cannot pay, is unsafe or
-    fails (see the module docstring), else (pid, pipe, receive), and
-    receive(lam) returns the next outcome or raises its exception.  The
-    helper ends only through os._exit, running no atexit handler and
-    flushing no buffer of the caller's.
+
+def _fork_helper(work, samples: list):
+    """Fork a process that runs work(job) for each job it is sent, in order.
+
+    Returns None where a fork cannot pay, is unsafe or fails (see the
+    module docstring), else the _Helper that feeds it.  The child reads
+    jobs, 4-byte signed integers, until the job pipe closes, and answers
+    each with a length-prefixed pickle of (job, outcome), the outcome
+    being work's value or the exception it raised.  It ends only through
+    os._exit, running no atexit handler and flushing no buffer of the
+    caller's.
     """
     if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() != 1:
-        return None, None, None
+        return None
     import pickle
-    read, write = os.pipe()
+    jobs_read, jobs_write = os.pipe()
+    answers_read, answers_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read)
-        os.close(write)
-        return None, None, None
+        for fd in (jobs_read, jobs_write, answers_read, answers_write):
+            os.close(fd)
+        return None
     if pid == 0:
         try:
-            os.close(read)
-            with open(write, "wb") as out:
-                for lam in samples:
+            os.close(jobs_write)
+            os.close(answers_read)
+            with open(jobs_read, "rb") as jobs, open(answers_write, "wb") as out:
+                for raw in iter(lambda: jobs.read(4), b""):
+                    job = int.from_bytes(raw, "little", signed=True)
                     try:
-                        outcome = member(lam)
+                        outcome = work(job)
                     except Exception as exc:
                         outcome = exc
-                    pickle.dump(outcome, out)
+                    data = pickle.dumps((job, outcome))
+                    out.write(len(data).to_bytes(8, "little") + data)
                     out.flush()
         finally:
             os._exit(0)
-    os.close(write)
-    pipe = open(read, "rb")
+    os.close(jobs_read)
+    os.close(answers_write)
+    return _Helper(pid, jobs_write, answers_read, pickle.loads, work, samples)
 
-    def receive(lam):
-        try:
-            outcome = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError("the helper process ended before sample %s"
-                               % qq_str(lam)) from None
+
+class _Helper:
+    """The caller's side of a forked helper's work queue.
+
+    take(job, left) returns the outcome of a job, or raises the exception
+    it raised.  The scan takes the samples in order, then the member at
+    infinity, the helper's first job; left is the number of samples, from
+    job on, worth building (see the module docstring).  A sample is
+    assigned once, to the helper or to this process, in increasing order
+    and only among those left; the helper's first sample job is therefore
+    the second sample.  The outcomes of a helper given up fall to this
+    process.
+    """
+
+    def __init__(self, pid, jobs, answers, loads, work, samples):
+        self.pid, self.jobs, self.answers, self.loads = pid, jobs, answers, loads
+        self.work, self.samples = work, samples
+        from select import POLLIN, poll
+        self.poller = poll()
+        self.poller.register(answers, POLLIN)
+        self.buffer = bytearray()
+        self.owed = set()        # jobs sent and not answered
+        self.held = {}           # outcomes in hand, by job
+        self.next = 0            # the lowest unassigned sample
+        self.dead = False        # the helper ended on its own
+        self.left = 0            # samples worth building, from the one taken on
+        self._send(_AT_INFINITY)
+
+    def take(self, job, left: int):
+        self.left = left
+        self._receive(0)
+        if job == self.next:                 # unassigned: it is built here
+            self.next += 1
+        while True:
+            self._top_up(job)
+            if job in self.held:
+                break
+            if job not in self.owed:         # built here, or left by a helper given up
+                self.held[job] = self._build(job)
+            elif self.dead:
+                raise RuntimeError("the helper process ended before %s" % (
+                    "the member at infinity" if job == _AT_INFINITY
+                    else "sample %s" % qq_str(self.samples[job])))
+            elif self.next <= self._last(job):
+                self.next += 1
+                self.held[self.next - 1] = self._build(self.next - 1)
+                self._receive(0)
+            elif not self._receive(_PATIENCE_MS):
+                self.close()                 # stopped or starved: its jobs fall to this process
+                self.owed.clear()
+        outcome = self.held.pop(job)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
-    return pid, pipe, receive
+
+    def _last(self, job) -> int:
+        """The last sample that may be assigned while job is awaited."""
+        return -1 if job == _AT_INFINITY else min(job + self.left, len(self.samples)) - 1
+
+    def _top_up(self, job):
+        while (self.pid is not None and not self.dead and len(self.owed) < _AHEAD
+               and self.next <= self._last(job)):
+            self.next += 1
+            self._send(self.next - 1)
+
+    def _send(self, job):
+        self.owed.add(job)
+        try:
+            os.write(self.jobs, job.to_bytes(4, "little", signed=True))
+        except BrokenPipeError:
+            self.dead = True
+
+    def _build(self, job):
+        try:
+            return self.work(job)
+        except Exception as exc:
+            return exc
+
+    def _receive(self, timeout_ms: int) -> bool:
+        """Take in what the helper sends within timeout_ms; False if nothing came."""
+        if self.pid is None or self.dead or not self.poller.poll(timeout_ms):
+            return False
+        chunk = os.read(self.answers, 1 << 16)
+        if not chunk:
+            self.dead = True
+            return True
+        self.buffer += chunk
+        while len(self.buffer) >= 8:
+            end = 8 + int.from_bytes(self.buffer[:8], "little")
+            if len(self.buffer) < end:
+                break
+            job, outcome = self.loads(self.buffer[8:end])
+            del self.buffer[:end]
+            self.owed.discard(job)
+            self.held[job] = outcome
+        return True
+
+    def kill(self):
+        """Send the helper SIGKILL; until close() reaps it, that is safe to repeat."""
+        if self.pid is not None:
+            from signal import SIGKILL
+            os.kill(self.pid, SIGKILL)
+
+    def close(self):
+        """Kill and reap the helper, and close its pipes."""
+        if self.pid is not None:
+            self.kill()
+            os.waitpid(self.pid, 0)
+            os.close(self.jobs)
+            os.close(self.answers)
+            self.pid = None
 
 
 def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
@@ -478,10 +602,14 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     exactly, normalized by the square of the w^2-pullback determinant so
     the value v(t) does not depend on the scale of w.  Members are used
     one at a time, in the order given, and the scan stops as soon as the
-    fit below is proved; later samples are never used.  Each member's
-    lift omega1 + t*omega2 is built when its sample is reached, by the
-    process that builds the member (see the module docstring), so an
-    error in it is that member's error.
+    fit below is proved; later samples are never used.  Where a helper
+    process shares the work (see the module docstring), a member may be
+    built a few samples ahead, but its outcome is acted on only when the
+    scan reaches it, and the member at infinity is read after the loop,
+    so the report and every error are those of a scan in one process.
+    Each member's lift omega1 + t*omega2 is built only with the member,
+    by the process that builds it, so an error in it is that member's
+    error.
 
     The basis pattern can make the values rational rather than
     polynomial in t (their denominator tracks pattern changes outside
@@ -562,16 +690,21 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     main = fit = None
     points: list = []
 
-    def member(lam):
+    def member(job):
+        if job == _AT_INFINITY:
+            return not det(trace_gram(clifford_with_scale(HypersurfaceData(S, omega2_lift))[0]))
+        lam = samples[job]
         return _scan_sample(S, [a + lam * b for a, b in zip(omega1_lift, omega2_lift)])
-    helper, pipe, receive = _fork_helper(member, samples[1::2])
+    helper = _fork_helper(member, samples)
     try:
         for i, lam in enumerate(samples):
             try:
-                if helper is None or i % 2 == 0:
-                    value, pattern = member(lam)
-                else:
-                    value, pattern = receive(lam)
+                if helper is None:
+                    value, pattern = member(i)
+                else:  # samples worth building: up to the stop, or _AHEAD past its earliest
+                    left = (stop - len(points) if fit else
+                            need + _AHEAD - max(counts.values(), default=0))
+                    value, pattern = helper.take(i, left)
             except HypothesisViolation as exc:
                 built.append((lam, None, str(exc)))
                 continue
@@ -589,24 +722,22 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                 points.append((lam, value))
                 if len(points) == stop:
                     break
+        if not counts:
+            raise PencilError("no sample admitted the construction")
+        if len(points) < need:
+            raise PencilError("need at least %d usable samples at degree bound %d, have %d"
+                              % (need, d, len(points) or max(counts.values())))
+        if helper is None:
+            infinity_singular = member(_AT_INFINITY)
+        else:  # the helper's exit overlaps the rest; close() reaps it
+            infinity_singular = helper.take(_AT_INFINITY, 0)
+            helper.kill()
+        skipped = [(lam, x if p is None else PATTERN_SKIP) for lam, p, x in built if p != main]
+        mode = "polynomial" if fit.denominator == [1] else "rational"
+        sq_degree = poly_squarefree_degree(fit.numerator)
     finally:  # here, not in a generator: a PencilError's traceback would keep it alive
         if helper is not None:
-            from signal import SIGKILL
-            os.kill(helper, SIGKILL)
-            os.waitpid(helper, 0)
-            pipe.close()
-    if not counts:
-        raise PencilError("no sample admitted the construction")
-    if len(points) < need:
-        raise PencilError("need at least %d usable samples at degree bound %d, have %d"
-                          % (need, d, len(points) or max(counts.values())))
-
-    skipped = [(lam, x if p is None else PATTERN_SKIP) for lam, p, x in built if p != main]
-    mode = "polynomial" if fit.denominator == [1] else "rational"
-    sq_degree = poly_squarefree_degree(fit.numerator)
-
-    at_infinity = clifford_with_scale(HypersurfaceData(S, omega2_lift))[0]
-    infinity_singular = not det(trace_gram(at_infinity))
+            helper.close()
 
     return PencilReport(
         sample_values=points,

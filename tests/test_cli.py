@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -304,10 +305,16 @@ def test_pencil_command(capsys):
 
 
 def test_pencil_report_does_not_depend_on_unused_samples(capsys):
-    # the scan stops after 33 members and builds no lift past them, so
-    # 80000 samples print the report of 42, in about the same time
+    # the scan stops after 33 members and builds no member or lift past
+    # them, so 80000 samples print the report of 42, in about the same time
     argv = ["pencil", SKLY_FILE, "--omega1", "0", "--omega2", "1", "--json"]
-    assert run(capsys, *argv, "--samples", "80000") == run(capsys, *argv, "--samples", "42")
+    t0 = time.monotonic()
+    few = run(capsys, *argv, "--samples", "42")
+    t1 = time.monotonic()
+    many = run(capsys, *argv, "--samples", "80000")
+    t2 = time.monotonic()
+    assert many == few
+    assert t2 - t1 < t1 - t0 + 0.5
 
 
 def test_pencil_subprocess_prints_one_json_document():

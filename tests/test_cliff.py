@@ -355,6 +355,25 @@ def test_mf_swapped_pair_verifies():
     assert verdict.ok
 
 
+def test_mf_table_of_another_algebra_is_refused():
+    # in sklyanin_a, x0 x3 - x1 x2 is not the product of these factors; a
+    # comm4 table would multiply them commutatively and accept them
+    z = word_vector(4, {(0, 3): 1, (1, 2): -1})
+    assert not verify_matrix_factorization(SKLY_A, PHI, PSI, z).ok
+    assert not verify_matrix_factorization(SKLY_A, PHI, PSI, z, table=build_table(SKLY_A, 2)).ok
+    with pytest.raises(ValueError, match="^the table is not a table of this presentation$"):
+        verify_matrix_factorization(SKLY_A, PHI, PSI, z, table=build_table(COMM, 2))
+
+
+def test_mf_table_of_the_same_relation_span_serves():
+    scaled = QuadraticPresentation(COMM.generator_names,
+                                   [[-3 * c for c in r] for r in reversed(COMM.relations)])
+    assert verify_matrix_factorization(COMM, PHI, PSI, HYPER, table=build_table(scaled, 2)).ok
+    bad = [[[0, 0, 0, 1], [0, 1, 0, 0]], [[0, 0, -1, 0], [1, 0, 0, 0]]]
+    assert not verify_matrix_factorization(COMM, PHI, bad, HYPER,
+                                           table=build_table(scaled, 2)).ok
+
+
 def test_mf_shape_validation():
     with pytest.raises(ValueError):
         verify_matrix_factorization(COMM, [[[1, 0, 0, 0]]], PSI, HYPER)

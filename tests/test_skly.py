@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -435,7 +436,8 @@ def test_no_lift_is_built_past_the_stop(monkeypatch):
     built = _patched_scan(monkeypatch, samples, _degree_eight_values(range(42)))
     report = pencil_discriminant(*_comm_pencil(), samples, 8)
     assert (len(built), report.certified, len(report.sample_values)) == (17, True, 17)
-    # a helper may run ahead into it, but its error is never read
+    # a helper builds nothing more than _AHEAD + 1 samples past the stop,
+    # so no process builds that lift
     pids = _force_helper(monkeypatch)
     assert pencil_discriminant(*_comm_pencil(), samples, 8).to_dict() == report.to_dict()
     assert pids
@@ -580,16 +582,22 @@ def test_other_pattern_first_is_not_the_main_pattern(monkeypatch, one_cpu):
     assert (report.numerator, report.denominator) == ([4, 4, 1], [1])
 
 
-# -- the helper process that builds the odd-indexed members --
+# -- the helper process and its work queue --
+#
+# The queue guarantees the order of assignment, not who builds what: the
+# caller takes the first sample, and the helper's first jobs are the
+# member at infinity and then the second sample, its first sample job.
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("pencil", [_sklyanin_a_pencil, _control_pencil],
-                         ids=["sklyanin_a", "control"])
+@pytest.mark.parametrize("pencil", [_sklyanin_a_pencil, _control_pencil,
+                                    lambda: (*_comm_pencil(), None), _diagonal_pencil],
+                         ids=["sklyanin_a", "control", "comm4", "singular-at-infinity"])
 def test_helper_leaves_the_report_unchanged(monkeypatch, pencil):
+    # sklyanin_a and comm4 are criterion 6's pencils; the last is singular at infinity
     args = pencil()
     with monkeypatch.context() as m:
         m.setattr(skly, "_usable_cpus", lambda: 1)
@@ -601,17 +609,37 @@ def test_helper_leaves_the_report_unchanged(monkeypatch, pencil):
     _no_child_left()
 
 
+def _in_helper_only(monkeypatch, fault, at):
+    """Members read _degree_eight_values, keyed by lambda, except that the
+    helper's member at lambda = at runs fault(at) first.
+
+    Callers pass the second sample, the helper's first sample job.
+    """
+    parent = os.getpid()
+    values = dict(zip(range(-2, 24), _degree_eight_values(range(-2, 24))))
+
+    def scan(S, lift):
+        if lift[0] == at and os.getpid() != parent:
+            fault(at)
+        return values[lift[0]], ()
+    monkeypatch.setattr(skly, "_scan_sample", scan)
+
+
 def test_helper_skips_a_hypothesis_violation_with_its_reason(monkeypatch, helper_forks):
-    # t = -1 has index 1, so the helper builds it and pickles the violation
-    report = _failed_member_scan(monkeypatch)
+    # only the helper raises the violation, so the skip is its pickled outcome
+    def violate(lam):
+        raise HypothesisViolation("regularity", "w is not regular at %s" % lam)
+    _in_helper_only(monkeypatch, violate, -1)
+    report = pencil_discriminant(*_comm_pencil(), list(range(-2, 20)), 8)
     assert helper_forks
-    assert report.skipped == [(-1, "regularity hypothesis failed: w is not regular")]
+    assert report.skipped == [(-1, "regularity hypothesis failed: w is not regular at -1")]
+    assert -1 not in [lam for lam, _ in report.sample_values]
     _no_child_left()
 
 
 def _erring_scan(monkeypatch, bad):
     # v = 7 ((t + 2) / (t + 30))^8 at t = 0..23, stopping at t = 16; the
-    # member at t = bad raises a ValueError
+    # member at t = bad raises a ValueError, whichever process builds it
     values = dict(zip(range(24), _degree_eight_values(range(24))))
 
     def scan(S, lift):
@@ -625,12 +653,19 @@ def _erring_scan(monkeypatch, bad):
 def test_helper_error_is_raised_at_its_sample(monkeypatch, helper_forks):
     with pytest.raises(ValueError, match="^no member at 5$"):
         _erring_scan(monkeypatch, 5)
-    assert helper_forks
+    # only the helper raises, at its first sample job: the outcome is its pickled error
+    def fail(lam):
+        raise ValueError("no member at %s" % lam)
+    _in_helper_only(monkeypatch, fail, 1)
+    with pytest.raises(ValueError, match="^no member at 1$"):
+        pencil_discriminant(*_comm_pencil(), list(range(24)), 8)
+    assert len(helper_forks) == 2
     _no_child_left()
 
 
 def test_helper_error_past_the_stop_is_never_raised(monkeypatch, helper_forks):
-    # the helper may build t = 19 before the scan stops, but no one reads it
+    # t = 19 lies within _AHEAD + 1 of the stop at t = 16, so it may be
+    # built before the scan stops, but no one reads its outcome
     report = _erring_scan(monkeypatch, 19)
     assert (report.certified, len(report.sample_values)) == (True, 17)
     assert helper_forks
@@ -649,17 +684,73 @@ def test_no_helper_outlives_a_failed_scan(monkeypatch, helper_forks):
 
 
 def test_helper_that_dies_names_the_sample(monkeypatch, helper_forks):
-    # the helper exits at t = 5 (index 5) without sending an outcome
-    parent = os.getpid()
-    values = dict(zip(range(24), _degree_eight_values(range(24))))
+    # the helper exits at its first sample job, t = 1, without an outcome
+    _in_helper_only(monkeypatch, lambda lam: os._exit(0), 1)
+    with pytest.raises(RuntimeError, match="before sample 1$"):
+        pencil_discriminant(*_comm_pencil(), list(range(24)), 8)
+    assert helper_forks
+    _no_child_left()
+
+
+def test_stopped_helper_is_given_up(monkeypatch):
+    # a helper stopped (SIGSTOP) right after the fork never answers; the
+    # caller waits for it once, kills it, and builds every member itself
+    samples = list(range(24))
+    values = _degree_eight_values(samples)
+    with monkeypatch.context() as m:
+        m.setattr(skly, "_usable_cpus", lambda: 1)
+        _patched_scan(m, samples, values)
+        alone = pencil_discriminant(*_comm_pencil(), samples, 8)
+    pids = _force_helper(monkeypatch)
+    counted = os.fork
+
+    def stopped():
+        pid = counted()
+        if pid:
+            os.kill(pid, signal.SIGSTOP)
+        return pid
+    monkeypatch.setattr(os, "fork", stopped)
+    built = _patched_scan(monkeypatch, samples, values)
+    report = pencil_discriminant(*_comm_pencil(), samples, 8)
+    assert report.to_dict() == alone.to_dict()
+    assert len(pids) == 1
+    used = len(report.sample_values) + len(report.skipped)
+    assert used - skly._AHEAD <= len(built) <= used + skly._AHEAD + 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("degree, other", [(8, ()), (8, (12, 14)), (4, ())],
+                         ids=["to-the-stop", "with-skips", "stop-at-min-samples"])
+def test_members_built_past_the_stop(monkeypatch, helper_forks, tmp_path, degree, other):
+    # both processes append "pid lambda" to one file for each member they
+    # build.  At d = 8 the fit of 7 ((t + 2) / (t + 30))^8 sets the stop
+    # past min_samples(8) = 13: the scan stops after 17 used members, and
+    # after 19 members when those at t = 12 and 14 have another pattern;
+    # no member past the stop is built.  At d = 4, (t + 2)^2 stops at
+    # min_samples(4) = 9, and the members assigned before the fit reach
+    # _AHEAD past it at most
+    log = tmp_path / "built"
+    values = dict(zip(range(24), [qq(t + 2) ** 2 for t in range(24)] if degree == 4
+                      else _degree_eight_values(range(24))))
+    used = 9 if degree == 4 else 17
 
     def scan(S, lift):
-        if lift[0] == 5 and os.getpid() != parent:
-            os._exit(0)
-        return values[lift[0]], ()
+        with open(log, "a") as out:
+            out.write("%d %s\n" % (os.getpid(), lift[0]))
+        return values[lift[0]], ("other",) if lift[0] in other else ()
     monkeypatch.setattr(skly, "_scan_sample", scan)
-    with pytest.raises(RuntimeError, match="before sample 5$"):
-        pencil_discriminant(*_comm_pencil(), list(range(24)), 8)
+    for _ in range(2):
+        log.write_text("")
+        report = pencil_discriminant(*_comm_pencil(), list(range(24)), degree)
+        assert len(report.sample_values) == used
+        assert [lam for lam, _ in report.skipped] == list(other)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        built = sorted(int(lam) for _, lam in lines)
+        assert built == list(range(len(built)))     # each member once, none skipped over
+        assert used + len(other) <= len(built) <= used + len(other) + (
+            skly._AHEAD if degree == 4 else 0)
+        assert len(set(pid for pid, _ in lines)) == 2
+    assert len(helper_forks) == 2
     _no_child_left()
 
 
@@ -702,23 +793,31 @@ def test_failed_fork_builds_every_member_here(monkeypatch):
 def test_helper_runs_no_atexit_handler_and_flushes_nothing():
     # stdout is a pipe, so "head" sits in its buffer when the helper forks;
     # a helper that exited normally would flush it and run the handler again.
-    # The scan needs all 21 samples, so the helper reaches its end and exits
-    # while this process still builds the last sample and the member at infinity
+    # The helper's first sample job, t = 2, returns what pickle refuses, so
+    # the helper ends on its own, through its finally clause, and the scan
+    # reports that it ended before that sample
     script = "\n".join([
-        "import atexit",
+        "import atexit, os",
         "from ncquad import skly",
         "from ncquad.families import commutative_presentation, symmetric_form_to_element",
         "skly._usable_cpus = lambda: 2",
+        "parent, scan_sample = os.getpid(), skly._scan_sample",
+        "def scan(S, lift):",
+        "    value = scan_sample(S, lift)",
+        "    return (lambda: value, ()) if os.getpid() != parent else value",
+        "skly._scan_sample = scan",
         "atexit.register(print, 'atexit')",
         "print('head')",
         "H = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]",
         "Q = [[3, -2, 1, -2], [-2, 3, -2, -1], [1, -2, -1, -2], [-2, -1, -2, -3]]",
-        "report = skly.pencil_discriminant(commutative_presentation(),",
-        "    symmetric_form_to_element(H), symmetric_form_to_element(Q), range(1, 22), 16)",
-        "print(report.distinct_root_count, report.certified)",
+        "try:",
+        "    skly.pencil_discriminant(commutative_presentation(),",
+        "        symmetric_form_to_element(H), symmetric_form_to_element(Q), range(1, 22), 16)",
+        "except RuntimeError as exc:",
+        "    print(exc)",
     ])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skly.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "head\n4 False\natexit\n"
+    assert proc.stdout == "head\nthe helper process ended before sample 2\natexit\n"
