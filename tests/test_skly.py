@@ -664,8 +664,8 @@ def test_helper_error_is_raised_at_its_sample(monkeypatch, helper_forks):
 
 
 def test_helper_error_past_the_stop_is_never_raised(monkeypatch, helper_forks):
-    # t = 19 lies within _AHEAD + 1 of the stop at t = 16, so it may be
-    # built before the scan stops, but no one reads its outcome
+    # t = 19 lies past the stop at t = 16: it is neither read nor, with the
+    # stop fixed by the fit, built
     report = _erring_scan(monkeypatch, 19)
     assert (report.certified, len(report.sample_values)) == (True, 17)
     assert helper_forks
