@@ -711,7 +711,16 @@ def test_stopped_helper_is_given_up(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", stopped)
     built = _patched_scan(monkeypatch, samples, values)
-    report = pencil_discriminant(*_comm_pencil(), samples, 8)
+
+    def hung(signum, frame):
+        raise TimeoutError("the scan waited a minute for a stopped helper")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        report = pencil_discriminant(*_comm_pencil(), samples, 8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert report.to_dict() == alone.to_dict()
     assert len(pids) == 1
     used = len(report.sample_values) + len(report.skipped)
