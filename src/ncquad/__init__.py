@@ -1,8 +1,8 @@
 """Exact computer algebra for noncommutative quadric surfaces.
 
-The package computes the 8-dimensional Clifford-type invariant of a
-quadric quotient of a four-generator quadratic algebra, decides
-smoothness and counts rulings through semisimplicity, models the
+The package computes the 2^(n-1)-dimensional Clifford-type invariant of
+a quadric quotient of an n-generator quadratic algebra, decides
+smoothness through semisimplicity and, for n = 4, counts rulings, models the
 Grothendieck lattice of a smooth quadric with its Euler and
 intersection forms, and handles elliptic quadric pencils including
 their four singular members.

@@ -211,16 +211,16 @@ def _cmd_center(args) -> int:
     return 0
 
 
-def _invariant_algebra(args, degree: int = 8):
+def _invariant_algebra(args):
     """C(A) of the quadric cut out by the central --z in the presentation file."""
     p = _load_presentation(args.file)
     lift, table = resolve_z_spec(args.z, p)
     require_central(table, lift, "z")
-    return clifford_algebra(HypersurfaceData(p, lift), degree=max(degree, 8))
+    return clifford_algebra(HypersurfaceData(p, lift))
 
 
 def _cmd_clifford(args) -> int:
-    alg = _invariant_algebra(args, args.degree)
+    alg = _invariant_algebra(args)
     report = analyze(alg)
     payload = {
         "dim": alg.dim,
@@ -372,30 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(fn=fn)
+        sp.add_argument("file", help="presentation file (JSON)")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         return sp
 
     sp = add("hilbert", _cmd_hilbert, help="graded dimensions of a presentation")
-    sp.add_argument("file")
     sp.add_argument("--degree", type=int, default=8)
+    add("dual", _cmd_dual, help="quadratic dual presentation")
+    add("center", _cmd_center, help="central degree-2 elements")
 
-    sp = add("dual", _cmd_dual, help="quadratic dual presentation")
-    sp.add_argument("file")
-
-    sp = add("center", _cmd_center, help="central degree-2 elements")
-    sp.add_argument("file")
-
-    sp = add("clifford", _cmd_clifford, help="the 8-dimensional invariant algebra")
-    sp.add_argument("file")
+    sp = add("clifford", _cmd_clifford, help="the 2^(n-1)-dimensional invariant algebra")
     sp.add_argument("--z", required=True, help="degree-2 expression or central index")
-    sp.add_argument("--degree", type=int, default=8)
 
     sp = add("smooth", _cmd_smooth, help="smoothness and ruling count")
-    sp.add_argument("file")
     sp.add_argument("--z", required=True)
 
     sp = add("pencil", _cmd_pencil, help="count singular members of a pencil")
-    sp.add_argument("file")
     sp.add_argument("--omega1", required=True)
     sp.add_argument("--omega2", required=True)
     sp.add_argument("--samples", type=int, default=42)
@@ -427,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="secant line as x1,y1:x2,y2 (give twice)")
 
     sp = add("mf-verify", _cmd_mf_verify, help="check a matrix factorization")
-    sp.add_argument("file")
     sp.add_argument("--phi", required=True, help="JSON (or @file) matrix of coefficient vectors")
     sp.add_argument("--psi", required=True)
     sp.add_argument("--z", required=True)

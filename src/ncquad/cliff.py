@@ -1,4 +1,4 @@
-"""The 8-dimensional Clifford-type invariant of a quadric quotient.
+"""The 2^(n-1)-dimensional Clifford-type invariant of a quadric quotient.
 
 Given S with the right Hilbert behaviour and a central degree-2 element
 z, the quotient A = S/(z) has a quadratic dual carrying a canonical
@@ -7,18 +7,14 @@ from the degree-2 part of the dual of A onto the degree-2 part of the
 dual of S.  That degree-2 part is dual to the relation space of S, so
 the map is read off the relations directly: the word x_i* x_j* goes to
 the coefficients of x_i x_j in the relations.  Inverting w and taking
-degree zero gives a finite dimensional algebra; concretely it lives on
-the degree-4 component of the dual of A, with products pulled back
-through multiplication by w^2.
+degree zero gives a finite dimensional algebra; concretely, for n
+generators it lives on the degree-e component of the dual of A, e the
+smallest even degree >= n - 1 (stable_degree), with products pulled back
+through multiplication by w^(e/2).
 
-The dual of A needs no elimination of its own: its relation space is
-R_S^perp meet z^perp, and S caches a basis r_1..r_m of R_S^perp as
-primitive integer rows.  With c_i = <r_i, z> and k the first index with
-c_k != 0, the rows c_k r_i - c_i r_k (i != k) are a basis of it.  All
-c_i vanish exactly when z lies in (R_S^perp)^perp = R_S, which is the
-independence hypothesis failing.  From there to C(A) the member's data
-stays in integers: the w^2 map is inverted and its determinant taken
-on integer columns.
+The dual of A needs no elimination of its own (HypersurfaceData), and
+from there to C(A) the member's data stays in integers: the w^(e/2) map
+is inverted and its determinant taken on integer columns.
 
 A classical even Clifford construction over a diagonalized symmetric
 form serves as the independent oracle, and a matrix-factorization
@@ -28,6 +24,7 @@ verifier covers the commutative hypersurface side.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from math import gcd, prod
 
 from .exactlin import (ONE_MINUS_T, LaurentPoly, Matrix, RationalSeries, combine, det,
@@ -90,29 +87,38 @@ class HypersurfaceData:
         self.S = S
 
 
-def dual_central_element(h: HypersurfaceData, degree: int = 8):
+def stable_degree(n: int) -> int:
+    """The degree e >= 2 of C(A) for n generators: the smallest even e >= n - 1.
+
+    The dual of A has dimension 2^(n-1) from degree n - 1 on, so its
+    degrees e to 2e hold C(A) and its products.
+    """
+    return 2 * max(1, n // 2)
+
+
+def dual_central_element(h: HypersurfaceData):
     """The dual-side central element w, the dual table of A, and w's certificate.
 
-    w spans the kernel of the degree-2 comparison map onto the dual of
-    S.  That target is dual to the relation space R_S, so the map sends
-    the word (i, j) to [r[i*g + j] for r in R_S], read off S's integer
-    relation rows: the same null space as in any basis of the dual of
-    S, hence the same w at the same scale.  The kernel depends only on
-    S and the dual's degree-2 normal words, and S caches it per word set
-    (QuadraticPresentation.comparison_kernel).
-    w is verified central (degree-3 generator check) and regular through
-    the requested degree; the returned RegularityCertificate carries the
-    matrices of right multiplication by w that the check built.  Any
-    failure raises HypothesisViolation naming the broken property.
+    The table is built through degree 2e, e = stable_degree(n).  w spans
+    the kernel of the degree-2 comparison map onto the dual of S, which
+    sends the word (i, j) to [r[i*g + j] for r in R_S], read off S's
+    integer relation rows: the same null space as in any basis of the
+    dual of S, hence the same w at the same scale.  S caches the kernel
+    per set of the dual's degree-2 normal words (comparison_kernel).  w
+    is verified central (degree-3 generator check) and regular through
+    degree 2e; the RegularityCertificate carries the matrices of right
+    multiplication by w that the check built.  Any failure raises
+    HypothesisViolation naming the broken property.
     """
-    dual_a = build_table(h.dual, degree)
+    bound = 2 * stable_degree(h.S.num_generators)
+    dual_a = build_table(h.dual, bound)
     ker = h.S.comparison_kernel(dual_a.words[2])
     if len(ker) != 1:
         raise HypothesisViolation(
             "kernel-dimension",
             "degree-2 comparison kernel has dimension %d, expected 1" % len(ker))
     w = list(ker[0])
-    cert = is_regular_central(dual_a, w, degree)
+    cert = is_regular_central(dual_a, w, bound)
     if not cert.central:
         raise HypothesisViolation("centrality", "w is not central: " + cert.describe())
     if not cert.regular:
@@ -120,59 +126,66 @@ def dual_central_element(h: HypersurfaceData, degree: int = 8):
     return w, dual_a, cert
 
 
-def clifford_with_scale(h: HypersurfaceData, degree: int = 8):
-    """Clifford-type algebra together with det of the w^2 pullback map.
+def clifford_with_scale(h: HypersurfaceData):
+    """Clifford-type algebra together with det of the w^(e/2) pullback map.
 
-    The w^2 map is multiplication by w^2 from degree 4 to degree 8 of
-    the dual, the one matrix C(A)'s products are pulled back through.
-    Its determinant tracks the only non-canonical choice in the
-    construction (the scale of w): rescaling w by u multiplies the
-    returned determinant by u^16 and the trace-form determinant of the
-    algebra by u^-32, so det(gram) * det(w^2 map)^2 is scale-free.
+    That map, multiplication by w^(e/2) from degree e to degree 2e of the
+    dual, e = stable_degree(n), is the one matrix C(A)'s products are
+    pulled back through.  Its determinant tracks the only non-canonical
+    choice (the scale of w): rescaling w by u multiplies it by
+    u^(e 2^(n-2)) and the trace-form determinant of the algebra by
+    u^(-e 2^(n-1)) (16 and -32 for n = 4), so det(gram) * det(map)^2 is
+    scale-free.
     """
-    if degree < 8:
-        raise ValueError("construction needs the dual table through degree 8")
-    w, dual_a, cert = dual_central_element(h, degree)
+    w, dual_a, cert = dual_central_element(h)
     return clifford_from_dual(dual_a, w, cert)
 
 
 def clifford_from_dual(dual_a: GradedTable, w: list, cert: RegularityCertificate):
     """Assemble the invariant algebra from a dual table, its w and w's certificate.
 
-    The w^2 map from degree 4 to degree 8 is the product of the
-    certificate's multiplications by w out of degrees 4 and 6, which a
-    check through degree 8 has proved injective, so it is invertible.
-    Basis element i times (-) is w2^-1 times the chain of left maps
-    along i's word; words sharing a prefix share its product, grouped
-    left to right.  The unit is w^2, the certificate's multiplication by
-    w out of degree 2 applied to w.  Returns the algebra and det(w2).
+    With n generators and e = stable_degree(n), the dual must have
+    dimension 2^(n-1) at degrees e, e + 2 and 2e.  The w^(e/2) map from
+    degree e to 2e is the product of the certificate's multiplications by
+    w out of degrees e, e + 2, ..., 2e - 2, proved injective, so
+    invertible.  Basis element i times (-) is its inverse times the chain
+    of left maps along i's word; words sharing a prefix share its
+    product, grouped left to right.  The unit is w^(e/2), w pushed
+    through the multiplications by w out of degrees 2, ..., e - 2.
+    Returns the algebra and the map's determinant.
     """
-    dims = dual_a.dims
-    if not (dims[4] == dims[6] == dims[8] == 8):
+    n = dual_a.presentation.num_generators
+    e, dim = stable_degree(n), 2 ** (n - 1)
+    degrees = (e, e + 2, 2 * e)
+    got = tuple(dual_a.dims[k] for k in degrees)
+    if got != (dim,) * 3:
         raise HypothesisViolation(
-            "stabilization",
-            "dual dimensions at degrees (4, 6, 8) are %r, expected (8, 8, 8)"
-            % ((dims[4], dims[6], dims[8]),))
+            "stabilization", "dual dimensions at degrees %r are %r, expected %r"
+            % (degrees, got, (dim,) * 3))
     z_maps = cert.z_maps
-    w2 = [combine(z_maps[6], c) for c in z_maps[4]]
+    w_pow, unit = z_maps[e], to_column(w)
+    for k in range(2, e, 2):
+        w_pow = [combine(z_maps[e + k], c) for c in w_pow]
+        unit = combine(z_maps[k], unit)
     left = dual_a.left_cols
-    words = dual_a.words[4]
-    chains = {(): inverse_columns(w2, 8)}
+    words = dual_a.words[e]
+    chains = {(): inverse_columns(w_pow, dim)}
     for word in words:
         for k, u in enumerate(word):
             if word[:k + 1] not in chains:
-                chains[word[:k + 1]] = [combine(chains[word[:k]], c) for c in left[7 - k][u]]
+                chains[word[:k + 1]] = [combine(chains[word[:k]], c)
+                                        for c in left[2 * e - 1 - k][u]]
     names = dual_a.presentation.generator_names
     labels = [".".join(names[i] for i in word) for word in words]
     # det of the integer columns, read as rows (det M = det M^T), over their denominators
-    det_w2 = det(Matrix.of_integers([[nums.get(i, 0) for i in range(8)] for _, nums in w2], 8))
-    return FinDimAlgebra(labels, [chains[word] for word in words],
-                         combine(z_maps[2], to_column(w))), det_w2 / prod(d for d, _ in w2)
+    det_w = det(Matrix.of_integers([[c.get(i, 0) for i in range(dim)] for _, c in w_pow], dim))
+    return (FinDimAlgebra(labels, [chains[word] for word in words], unit),
+            det_w / prod(d for d, _ in w_pow))
 
 
-def clifford_algebra(h: HypersurfaceData, degree: int = 8) -> FinDimAlgebra:
-    """The 8-dimensional invariant algebra of the quadric Proj S/(z)."""
-    return clifford_with_scale(h, degree)[0]
+def clifford_algebra(h: HypersurfaceData) -> FinDimAlgebra:
+    """The 2^(n-1)-dimensional invariant algebra of the quadric Proj S/(z)."""
+    return clifford_with_scale(h)[0]
 
 
 # -- classical even Clifford oracle --
@@ -181,10 +194,8 @@ def congruent_diagonal(q) -> list:
     """Diagonal of a rational congruence-diagonalization of symmetric q."""
     n = len(q)
     m = [[qq(q[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("form matrix is not symmetric")
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("form matrix is not symmetric")
     for k in range(n):
         if not m[k][k]:
             j = next((j for j in range(k + 1, n) if m[j][j]), None)
@@ -196,22 +207,17 @@ def congruent_diagonal(q) -> list:
                 j = next((j for j in range(k + 1, n) if m[k][j]), None)
                 if j is None:
                     continue
-                for t in range(n):
-                    m[k][t] += m[j][t]
-                for t in range(n):
-                    m[t][k] += m[t][j]
+                m[k] = [a + b for a, b in zip(m[k], m[j])]
+                for row in m:
+                    row[k] += row[j]
         piv = m[k][k]
         for i in range(k + 1, n):
             if m[i][k]:
                 f = m[i][k] / piv
-                for t in range(n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(n):
-                    m[t][i] -= f * m[t][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+                for row in m:
+                    row[i] -= f * row[k]
     return [m[k][k] for k in range(n)]
-
-
-_EVEN_SUBSETS = ((), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2, 3))
 
 
 def _clifford_word_product(left, right, diag):
@@ -233,24 +239,27 @@ def _clifford_word_product(left, right, diag):
 
 
 def even_clifford_oracle(q) -> FinDimAlgebra:
-    """Even Clifford algebra of a 4x4 symmetric rational form.
+    """Even Clifford algebra of an n x n symmetric rational form.
 
     The form is congruence-diagonalized first; degenerate forms are
-    allowed and produce nilpotents.  Basis: 1, the six products
-    e_i e_j (i < j), and e_1 e_2 e_3 e_4.
+    allowed and produce nilpotents.  Basis: the products e_S of the even
+    subsets S of the generators, by size and then lexicographically
+    (for n = 4: 1, the six e_i e_j with i < j, and e_1 e_2 e_3 e_4).
     """
-    if len(q) != 4 or any(len(row) != 4 for row in q):
-        raise ValueError("expected a 4x4 symmetric matrix")
+    n = len(q)
+    if n == 0 or any(len(row) != n for row in q):
+        raise ValueError("expected a square symmetric matrix")
     diag = congruent_diagonal(q)
-    index = {s: k for k, s in enumerate(_EVEN_SUBSETS)}
-    labels = ["1"] + ["e%d%d" % (i + 1, j + 1) for (i, j) in _EVEN_SUBSETS[1:7]] + ["e1234"]
+    subsets = [s for k in range(0, n + 1, 2) for s in combinations(range(n), k)]
+    index = {s: k for k, s in enumerate(subsets)}
+    labels = ["e" + "".join(str(i + 1) for i in s) if s else "1" for s in subsets]
 
     def column(s, t):
         # the product is sign * coef times one basis element: a monomial column
         sign, coef, word = _clifford_word_product(s, t, diag)
         return coef.denominator, {index[word]: sign * coef.numerator} if coef else {}
 
-    columns = [[column(s, t) for t in _EVEN_SUBSETS] for s in _EVEN_SUBSETS]
+    columns = [[column(s, t) for t in subsets] for s in subsets]
     return FinDimAlgebra(labels, columns, (1, {0: 1}))
 
 

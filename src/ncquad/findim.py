@@ -303,9 +303,10 @@ def analyze(alg: FinDimAlgebra) -> AnalysisReport:
     """Radical, center, semisimplicity, ruling count, smoothness verdict.
 
     The ruling count equals the center dimension of the semisimple
-    quotient when the algebra is 8-dimensional with no one-dimensional
-    representations: every geometric simple block is then a 2x2 matrix
-    block over the closure and contributes exactly one central line.
+    quotient when the algebra is 8-dimensional (C(A) of a quadric
+    surface, n = 4) with no one-dimensional representations: every
+    geometric simple block is then a 2x2 matrix block over the closure
+    and contributes exactly one central line.  It is None otherwise.
     """
     rad, quo = _cross_verify_radical(alg)
     center_dim = center_basis(alg).cols

@@ -45,13 +45,13 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import index
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     require_central)
-from .exactlin import (Matrix, SpanBuilder, det, kernel_basis, poly_degree, poly_divmod,
-                       poly_gcd, poly_mul, poly_squarefree_degree,
+from .exactlin import (Matrix, SpanBuilder, det, kernel_basis, poly_degree, poly_deriv,
+                       poly_divmod, poly_eval, poly_gcd, poly_mul, poly_squarefree_degree,
                        poly_trim, qq, qq_str)
 from .findim import trace_gram
 from .qalg import GradedTable, QuadraticPresentation, build_table
@@ -279,7 +279,8 @@ class PencilReport:
     infinity_singular: bool
     distinct_root_count: int
     fit_degree: int              # e = max(deg numerator, deg denominator)
-    certified: bool              # at least d + e + 1 used samples agree with the fit
+    certified: bool              # d + e + 1 used samples agree with the fit, and every
+                                 # pole is a rational member that could be built
 
     def to_dict(self) -> dict:
         return {
@@ -358,6 +359,51 @@ def _square_root(r):
     if num * num != r.numerator or den * den != r.denominator:
         return None
     return qq(num, den)
+
+
+_TRIAL_BOUND = 1 << 16   # the largest trial divisor _divisors tries
+
+
+def _divisors(n: int):
+    """The positive divisors of the integer n != 0, by trial division.
+
+    None when a factor is left that trial divisors up to _TRIAL_BOUND
+    cannot prove prime.
+    """
+    n, divs, p = abs(n), [1], 2
+    while p * p <= n:
+        if p > _TRIAL_BOUND:
+            return None
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        divs = [d * p ** j for d in divs for j in range(k + 1)]
+        p += 1
+    return divs + [d * n for d in divs] if n > 1 else divs
+
+
+def _rational_roots(f: list):
+    """The distinct rational roots of f, and whether they are all its roots.
+
+    The roots are those of the squarefree part, scaled to integer
+    coefficients c_0..c_k: a root a / b in lowest terms has a | c_0 and
+    b | c_k once the root 0 is divided out.  Where bounded trial division
+    cannot list those divisors, only 0 is tried and the answer is False.
+    """
+    f = poly_trim(f)
+    if len(f) <= 1:
+        return [], True
+    f = poly_divmod(f, poly_gcd(f, poly_deriv(f)))[0]
+    scale = lcm(*[c.denominator for c in f])
+    c = [(x * scale).numerator for x in f]
+    roots = [qq(0)] if c[0] == 0 else []
+    c = c[len(roots):]
+    tops, bottoms = _divisors(c[0]), _divisors(c[-1])
+    if tops is None or bottoms is None:
+        return roots, False
+    roots += [x for a in tops for b in bottoms if gcd(a, b) == 1
+              for x in (qq(a, b), qq(-a, b)) if not poly_eval(f, x)]
+    return roots, len(roots) == len(f) - 1
 
 
 def _inconsistent(degree_bound: int) -> PencilError:
@@ -597,9 +643,9 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                         table: GradedTable | None = None) -> PencilReport:
     """Count distinct singular members of the pencil z = omega1 + t*omega2.
 
-    At each sample t the 8-dimensional invariant algebra of S/(z_t) is
-    built and the determinant of its trace Gram matrix evaluated
-    exactly, normalized by the square of the w^2-pullback determinant so
+    At each sample t the invariant algebra of S/(z_t) is built and the
+    determinant of its trace Gram matrix evaluated exactly, normalized
+    by the square of the w^(e/2)-pullback determinant so
     the value v(t) does not depend on the scale of w.  Members are used
     one at a time, in the order given, and the scan stops as soon as the
     fit below is proved; later samples are never used.  Where a helper
@@ -640,11 +686,26 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     has degree at most d + e and vanishes at every agreeing sample,
     where Q is nonzero (Q(t) = 0 would force P(t) = 0, but P and Q are
     coprime); so d + e + 1 agreeing samples prove v = v0 P^2 / Q^2
-    identically, and the report says so in certified.  A scan that runs
-    out of samples first reports as long as it has min_samples(d) = 2h
-    + 5 (three held out past the fit), with certified false.  The
-    reduced ratio is unique, so it is the one a fit at degrees (d, d)
-    finds.
+    identically.  A scan that runs out of samples first reports as long
+    as it has min_samples(d) = 2h + 5 (three held out past the fit), with
+    certified false.  The reduced ratio is unique, so it is the one a fit
+    at degrees (d, d) finds.
+
+    The count: distinct roots of the numerator over the closure, through
+    its squarefree part, plus the members the fit does not see.  At a
+    singular member where the pattern changes, a root of both D and L,
+    D's factor cancels into the denominator; so the members skipped for
+    their pattern are read off their values, and right after the fit the
+    member at each rational root of the denominator is built once (here,
+    with the member at infinity's criterion), unless it is a sample
+    already built.  Each of those that is singular, at a t where the
+    numerator does not vanish, joins the count.  The member at infinity
+    (omega2 alone) is singular when its trace form is degenerate, the
+    samples' criterion v = 0, and joins it too.  certified says the
+    count is proved: the scan stopped on d + e + 1 agreeing samples, and
+    the denominator's squarefree part splits into linear factors over Q
+    (its rational roots found by _rational_roots), each with a member
+    that could be built.
 
     PencilError is raised when the values vanish identically, when a
     fit ratio v / v0 is negative or not a rational square (naming the
@@ -657,10 +718,7 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     table does not reach degree 3 or is a table of another algebra.  A
     repeated value would leave the fit underdetermined, so the samples
     must be distinct as rationals.  mode is "polynomial" when the reduced
-    denominator is 1, else "rational".  Distinct roots of the numerator
-    over the closure are counted through its squarefree part; the member
-    at infinity (omega2 alone) is singular when its trace form is
-    degenerate, the samples' criterion v = 0, and joins the count.
+    denominator is 1, else "rational".
     """
     if isinstance(degree_bound, bool) or not isinstance(degree_bound, int) or degree_bound < 0:
         raise ValueError("degree bound must be a nonnegative integer, got %r" % (degree_bound,))
@@ -689,12 +747,24 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     counts: dict = {}
     main = fit = None
     points: list = []
+    poles: dict = {}      # lambda -> singular, or None if its member could not be built
+    roots_split = True    # the fit's denominator is a product of linear factors over Q
+
+    def singular(lift):
+        return not det(trace_gram(clifford_with_scale(HypersurfaceData(S, lift))[0]))
+
+    def lift_at(lam):
+        return [a + lam * b for a, b in zip(omega1_lift, omega2_lift)]
+
+    def pole(lam):
+        try:
+            return singular(lift_at(lam))
+        except HypothesisViolation:
+            return None
 
     def member(job):
-        if job == _AT_INFINITY:
-            return not det(trace_gram(clifford_with_scale(HypersurfaceData(S, omega2_lift))[0]))
-        lam = samples[job]
-        return _scan_sample(S, [a + lam * b for a, b in zip(omega1_lift, omega2_lift)])
+        return singular(omega2_lift) if job == _AT_INFINITY else _scan_sample(
+            S, lift_at(samples[job]))
     helper = _fork_helper(member, samples)
     try:
         for i, lam in enumerate(samples):
@@ -717,6 +787,13 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                 points = [(x, v) for x, p, v in built if p == main]
                 fit = _RootFit(points, d)
                 stop = max(need, d + fit.degree + 1)
+                roots, roots_split = _rational_roots(fit.denominator)
+                patterns = {x: p for x, p, _ in built}
+                for r in roots:  # a pole built as a sample is read below, unless it failed
+                    if r not in patterns:
+                        poles[r] = pole(r)
+                    elif patterns[r] is None:
+                        poles[r] = None
             elif pattern == main:
                 fit.check(lam, value)
                 points.append((lam, value))
@@ -735,6 +812,10 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         skipped = [(lam, x if p is None else PATTERN_SKIP) for lam, p, x in built if p != main]
         mode = "polynomial" if fit.denominator == [1] else "rational"
         sq_degree = poly_squarefree_degree(fit.numerator)
+        # members the fit does not see: those skipped for their pattern, and its poles
+        off_fit = {lam: not x for lam, p, x in built if p not in (None, main)}
+        off_fit.update(poles)
+        missed = sum(1 for lam, sing in off_fit.items() if sing and poly_eval(fit.numerator, lam))
     finally:  # here, not in a generator: a PencilError's traceback would keep it alive
         if helper is not None:
             helper.close()
@@ -747,7 +828,8 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         denominator=fit.denominator,
         squarefree_degree=sq_degree,
         infinity_singular=infinity_singular,
-        distinct_root_count=sq_degree + (1 if infinity_singular else 0),
+        distinct_root_count=sq_degree + missed + (1 if infinity_singular else 0),
         fit_degree=fit.degree,
-        certified=len(points) >= d + fit.degree + 1,
+        certified=(len(points) >= d + fit.degree + 1 and roots_split
+                   and None not in poles.values()),
     )

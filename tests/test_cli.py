@@ -107,6 +107,25 @@ def test_noncentral_z_exit_code(argv, generator):
     assert "Traceback" not in proc.stderr
 
 
+def test_smooth_on_three_generators(capsys):
+    # C(A) of a quadric in three variables has dimension 2^(3-1) = 4; rulings
+    # are counted for four generators only
+    code, out = run(capsys, "smooth", str(ROOT / "presentations/comm3.json"),
+                    "--z", "x0*x0+x1*x1+x2*x2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["dim"], report["smooth"], report["ruling_count"]) == (4, True, "n/a")
+
+
+def test_clifford_has_no_degree_flag():
+    env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "clifford", COMM_FILE,
+                           "--z", "x0*x3-x1*x2", "--degree", "8"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --degree 8" in proc.stderr
+
+
 def test_lift_in_the_relation_span_exit_code():
     env = dict(os.environ, PYTHONPATH=str(Path(ncquad.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "ncquad.cli", "smooth", COMM_FILE,
@@ -358,7 +377,7 @@ def readme_commands():
 
 def test_readme_commands(capsys, monkeypatch):
     commands = readme_commands()
-    assert len(commands) == 14
+    assert len(commands) == 15
     monkeypatch.chdir(ROOT)
     for argv in commands:
         assert main(argv[1:]) == 0, argv

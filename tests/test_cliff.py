@@ -10,8 +10,8 @@ from ncquad.cliff import (HypersurfaceData, HypothesisViolation,
                           InvariantComparison, clifford_algebra, clifford_from_dual,
                           clifford_with_scale, compare_invariants,
                           congruent_diagonal, dual_central_element,
-                          even_clifford_oracle, verify_matrix_factorization,
-                          word_vector_class)
+                          even_clifford_oracle, stable_degree,
+                          verify_matrix_factorization, word_vector_class)
 from ncquad.cli import resolve_z_spec
 from ncquad.exactlin import LaurentPoly, Matrix, RationalSeries, det, kernel_basis, qq
 from ncquad.families import (HYPERBOLIC_FORM, commutative_presentation,
@@ -273,6 +273,69 @@ def test_oracle_equivalence(lift, q):
     oracle = even_clifford_oracle(q)
     report = compare_invariants(ours, oracle)
     assert report.equal, report.to_dict()
+
+
+def test_stable_degree_is_the_smallest_even_degree_past_n_minus_one():
+    assert [stable_degree(n) for n in range(1, 8)] == [2, 2, 2, 4, 4, 6, 6]
+
+
+def _random_form(rng, n, rank):
+    """A random symmetric integer n x n form of the given rank: P^T D P, P unitriangular."""
+    diag = [rng.choice((-2, -1, 1, 3)) if i < rank else 0 for i in range(n)]
+    rng.shuffle(diag)
+    p = [[int(i == j) or (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
+         for i in range(n)]
+    return [[sum(p[k][i] * diag[k] * p[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_random_forms_of_every_rank_match_the_oracle(n):
+    # C(A) of a commutative quadric is the even Clifford algebra of its form,
+    # of dimension 2^(n-1), for every rank
+    rng = random.Random(n)
+    S = commutative_presentation(n)
+    for rank in range(1, n + 1):
+        q = _random_form(rng, n, rank)
+        assert sum(1 for d in congruent_diagonal(q) if d) == rank
+        ours = clifford_algebra(HypersurfaceData(S, [c for row in q for c in row]))
+        oracle = even_clifford_oracle(q)
+        assert ours.dim == oracle.dim == 2 ** (n - 1)
+        report = compare_invariants(ours, oracle)
+        assert report.equal, (q, report.to_dict())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_zero_form_violates_independence(n):
+    with pytest.raises(HypothesisViolation) as info:
+        HypersurfaceData(commutative_presentation(n), [0] * (n * n))
+    assert info.value.hypothesis == "independence"
+
+
+def test_even_oracle_refuses_a_form_that_is_not_square():
+    for q in ([], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            even_clifford_oracle(q)
+
+
+def _square_killed(n):
+    """Commutative in n generators with x0^2 = 0: its dual grows past 2^(n-1)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rels = [word_vector(n, {(i, j): 1, (j, i): -1}) for i, j in pairs]
+    return QuadraticPresentation(["x%d" % i for i in range(n)],
+                                 rels + [word_vector(n, {(0, 0): 1})])
+
+
+@pytest.mark.parametrize("n, message", [
+    (4, "dual dimensions at degrees (4, 6, 8) are (16, 24, 32), expected (8, 8, 8)"),
+    (3, "dual dimensions at degrees (2, 4, 4) are (5, 9, 9), expected (4, 4, 4)"),
+    (5, "dual dimensions at degrees (4, 6, 8) are (28, 44, 60), expected (16, 16, 16)"),
+])
+def test_stabilization_failure_names_two_to_the_n_minus_one(n, message):
+    # the n = 4 text is the one the construction has always given
+    with pytest.raises(HypothesisViolation) as info:
+        clifford_algebra(HypersurfaceData(_square_killed(n), word_vector(n, {(1, 1): 1})))
+    assert (info.value.hypothesis, info.value.message) == ("stabilization", message)
 
 
 def test_compare_self_and_different_ranks():

@@ -8,6 +8,7 @@ set replaced; the ±1-skew test checks the center against a closed formula.
 
 import functools
 import itertools
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -229,27 +230,46 @@ def test_analysis_matches_fraction_reference_on_degenerate_forms(case, x, y):
     assert_matches_reference(dense_algebra(labels, structure, [1] + [0] * 7), x, y)
 
 
-def test_skew_commuting_quadrics_against_center_formula():
+def _skew_patterns(n):
+    """All sign patterns of the generator pairs for n <= 4, else a seeded sample."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if n <= 4:
+        return pairs, list(itertools.product((1, -1), repeat=len(pairs)))
+    rng = random.Random(n)
+    return pairs, [tuple(rng.choice((1, -1)) for _ in pairs) for _ in range(32 if n == 5 else 12)]
+
+
+def _check_skew_centers(n):
     # x_i x_j = e_ij x_j x_i with z = sum x_i^2: C(A) is semisimple, and its
     # center dimension counts the even subsets S of the generators with
-    # B S in {0, (1, 1, 1, 1)} over F_2, where B_ij = [e_ij = +1], B_ii = 0
-    pairs = list(itertools.combinations(range(4), 2))
-    z = word_vector(4, {(i, i): 1 for i in range(4)})
+    # B S in {0, (1, ..., 1)} over F_2, where B_ij = [e_ij = +1], B_ii = 0
+    pairs, patterns = _skew_patterns(n)
+    names = ["x%d" % i for i in range(n)]
+    z = word_vector(n, {(i, i): 1 for i in range(n)})
     split = {}
-    for signs in itertools.product((1, -1), repeat=len(pairs)):
+    for signs in patterns:
         eps = dict(zip(pairs, signs))
-        S = QuadraticPresentation(["x0", "x1", "x2", "x3"],
-                                  [word_vector(4, {(i, j): 1, (j, i): -e})
-                                   for (i, j), e in eps.items()])
-        b = [[int(i != j and eps[min(i, j), max(i, j)] == 1) for j in range(4)]
-             for i in range(4)]
-        want = sum(1 for s in itertools.product((0, 1), repeat=4) if sum(s) % 2 == 0
+        S = QuadraticPresentation(names, [word_vector(n, {(i, j): 1, (j, i): -e})
+                                          for (i, j), e in eps.items()])
+        b = [[int(i != j and eps[min(i, j), max(i, j)] == 1) for j in range(n)]
+             for i in range(n)]
+        want = sum(1 for s in itertools.product((0, 1), repeat=n) if sum(s) % 2 == 0
                    and len({sum(r * t for r, t in zip(row, s)) % 2 for row in b}) == 1)
         report = analyze(clifford_algebra(HypersurfaceData(S, z)))
-        assert (report.radical_dim, report.center_dim) == (0, want), signs
+        assert (report.dim, report.radical_dim, report.center_dim) == (2 ** (n - 1), 0, want), signs
         key = (report.smooth, report.center_dim, report.to_dict()["ruling_count"])
         split[key] = split.get(key, 0) + 1
-    assert split == {(True, 2, 2): 56, (True, 8, "n/a"): 8}
+    return split
+
+
+def test_skew_commuting_quadrics_against_center_formula():
+    assert _check_skew_centers(4) == {(True, 2, 2): 56, (True, 8, "n/a"): 8}
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_skew_commuting_quadrics_in_n_generators(n):
+    # every pattern for n = 3, seeded samples for n = 5 and 6; rulings are counted for n = 4 only
+    assert {ruling for _, _, ruling in _check_skew_centers(n)} == {"n/a"}
 
 
 def reference_accepts(structure, unit):

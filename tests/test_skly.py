@@ -9,7 +9,7 @@ import pytest
 
 from ncquad import skly
 from ncquad.cliff import HypersurfaceData, HypothesisViolation, clifford_algebra
-from ncquad.exactlin import kernel_basis, qq
+from ncquad.exactlin import kernel_basis, poly_eval, qq
 from ncquad.families import (commutative_presentation, sklyanin_gamma,
                              sklyanin_presentation, symmetric_form_to_element,
                              word_vector)
@@ -383,6 +383,104 @@ def test_member_at_infinity_agrees_with_its_analysis(pencil, singular, count):
     report = pencil_discriminant(S, omega1, omega2, list(range(42)), 16, table=table)
     assert analyze(clifford_algebra(HypersurfaceData(S, omega2))).smooth == (not singular)
     assert (report.infinity_singular, report.distinct_root_count) == (singular, count)
+
+
+# Commutative pencils q1 + t q2 whose singular member lam0 sits where the
+# normal-word pattern changes: the fit's numerator loses that member's
+# factor into its denominator (lam0)^12.  det(q1 + t q2) has four distinct
+# roots, lam0 among them, and det(q2) != 0, so the count is 4.
+PATTERN_CHANGE_PAIRS = [
+    ([[0, 0, 0, 0], [0, -2, 0, -1], [0, 0, 2, 1], [0, -1, 1, -1]],
+     [[2, 2, -2, 0], [2, -2, 1, -2], [-2, 1, 1, -1], [0, -2, -1, -1]], 0),
+    ([[0, 1, -1, 0], [1, 0, 1, 2], [-1, 1, 1, 1], [0, 2, 1, 1]],
+     [[0, 1, -1, -1], [1, 1, 2, 0], [-1, 2, 2, 1], [-1, 0, 1, -2]], -1),
+    ([[0, -2, -1, 2], [-2, 1, -2, 0], [-1, -2, 2, -1], [2, 0, -1, 2]],
+     [[0, -1, -1, 1], [-1, -1, 1, 0], [-1, 1, 2, -1], [1, 0, -1, 1]], -2),
+    ([[2, -1, 0, 2], [-1, 2, -1, 1], [0, -1, 2, -1], [2, 1, -1, -2]],
+     [[2, 1, 1, 0], [1, 2, 2, -1], [1, 2, 1, -1], [0, -1, -1, -2]], -1),
+]
+
+
+@pytest.mark.parametrize("q1, q2, lam0", PATTERN_CHANGE_PAIRS,
+                         ids=["sample-0", "pole--1", "pole--2", "pole--1-second"])
+def test_singular_member_at_a_pattern_change_is_counted(q1, q2, lam0):
+    # lam0 = 0 is a sample skipped for its pattern and read off its value;
+    # -1 and -2 are no samples and are built as poles of the fit
+    comm = commutative_presentation()
+    z1, z2 = ([c for row in q for c in row] for q in (q1, q2))
+    report = pencil_discriminant(comm, z1, z2, list(range(42)), 16)
+    assert (report.distinct_root_count, report.certified) == (4, True)
+    assert report.squarefree_degree == 3 and not report.infinity_singular
+    assert skly._rational_roots(report.denominator) == ([lam0], True)
+    member = [a + lam0 * b for a, b in zip(z1, z2)]
+    assert not analyze(clifford_algebra(HypersurfaceData(comm, member))).smooth
+
+
+@pytest.mark.parametrize("pencil, poles", [(_sklyanin_a_pencil, 1), (_control_pencil, 0)],
+                         ids=["sklyanin_a", "control"])
+def test_a_pole_is_built_once_unless_it_is_a_sample(monkeypatch, one_cpu, pencil, poles):
+    # sklyanin_a's fit has its pole at 5/9, which is no sample: one more
+    # member is built, and it is smooth.  The control's pole 0 is a sample
+    # skipped for its pattern, read off the value already built
+    S, omega1, omega2, table = pencil()
+    scans, builds = [], []
+    scan_sample, with_scale = skly._scan_sample, skly.clifford_with_scale
+    monkeypatch.setattr(skly, "_scan_sample",
+                        lambda S, lift: scans.append(lift) or scan_sample(S, lift))
+    monkeypatch.setattr(skly, "clifford_with_scale",
+                        lambda h: builds.append(h) or with_scale(h))
+    report = pencil_discriminant(S, omega1, omega2, SEED1_SAMPLES, 16, table=table)
+    assert len(builds) == len(scans) + 1 + poles     # the samples, infinity, the poles
+    assert (report.distinct_root_count, report.certified) == (4, True)
+
+
+def _pole_scan(monkeypatch, q, fail=None):
+    """Scan _comm_pencil with v = 1 / q(t)^4 faked at the samples, t = 0..29
+    off the roots of q, so the fit's poles are the roots of q; the pole
+    members are built for real, and the one at fail raises a violation."""
+    samples = [t for t in range(30) if poly_eval(q, qq(t))]
+    _patched_scan(monkeypatch, samples, [1 / poly_eval(q, qq(t)) ** 4 for t in samples])
+    hypersurface = skly.HypersurfaceData
+
+    def data(S, lift):
+        if lift[0] == fail:
+            raise HypothesisViolation("regularity", "w is not regular")
+        return hypersurface(S, lift)
+    monkeypatch.setattr(skly, "HypersurfaceData", data)
+    return pencil_discriminant(*_comm_pencil(), samples, 8)
+
+
+@pytest.mark.parametrize("q, fail, count, certified", [
+    ([-4, 0, 1], None, 0, True),       # poles +-2, smooth members
+    ([-1, 0, 4], None, 2, True),       # poles +-1/2, the two singular members of the pencil
+    ([-2, 0, 1], None, 0, False),      # poles +-sqrt(2): not checked over Q
+    ([-4, 0, 1], -2, 0, False),        # the member at the pole -2 cannot be built
+], ids=["rational-smooth", "rational-singular", "irrational", "unbuildable"])
+def test_poles_join_the_count_or_leave_it_uncertified(monkeypatch, one_cpu, q, fail, count,
+                                                      certified):
+    # det(q1 + t q2) = (t^2 - 1/4)^2 on _comm_pencil: singular exactly at t = +-1/2
+    report = _pole_scan(monkeypatch, [qq(c) for c in q], fail)
+    assert (report.distinct_root_count, report.certified) == (count, certified)
+    assert report.fit_degree == 8 and report.squarefree_degree == 0
+
+
+def test_rational_roots_by_bounded_trial_division():
+    roots = skly._rational_roots
+    assert roots([qq(3)]) == ([], True)
+    assert roots([qq(c) for c in (-2, 0, 1)]) == ([], False)
+    # (t - 5/9)^8 is read through its squarefree part
+    power = [qq(1)]
+    for _ in range(8):
+        power = skly.poly_mul(power, [qq(-5, 9), qq(1)])
+    assert roots(power) == ([qq(5, 9)], True)
+    # t (2t - 1)(t^2 + 1)
+    assert roots([qq(c) for c in (0, -1, 2, -1, 2)]) == ([0, qq(1, 2)], False)
+    # a prime past the trial bound but below its square is found; one past
+    # the square cannot be told from a composite, so nothing is decided
+    assert roots([qq(-1000003), qq(1)]) == ([1000003], True)
+    assert roots([qq(-(2 ** 61 - 1)), qq(1)]) == ([], False)
+    assert roots([qq(0), qq(-(2 ** 61 - 1)), qq(1)]) == ([0], False)
+    assert sorted(skly._divisors(-12)) == [1, 2, 3, 4, 6, 12]
 
 
 def _no_member(*args):

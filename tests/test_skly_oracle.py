@@ -1,13 +1,21 @@
-"""Property test of the lazy pencil scan against the direct (d, d) fit.
+"""Property tests of the pencil scan: the lazy fit and the singular-member count.
 
 The scan fits the square root of its values at half the degree and stops
 once d + e + 1 samples agree; the reference fits the values themselves at
 degrees (d, d) through 2d + 2 points.  Both must find the same reduced
 ratio.  Member builds are replaced by the values of v = c (P / Q)^4, the
-shape the pencil values have (a constant times a fourth power).
+shape the pencil values have (a constant times a fourth power).  The
+report is certified only when the reduced denominator splits into linear
+factors over Q, since a singular member at an irrational pole could not
+be checked.
+
+The count is checked on random commutative pencils against the
+determinant route (sympy): member t is singular exactly when
+det(q1 + t q2) = 0.
 """
 
 from functools import cache
+from math import isqrt
 
 import pytest
 
@@ -17,7 +25,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ncquad import skly  # noqa: E402
-from ncquad.exactlin import poly_degree, poly_eval, qq  # noqa: E402
+from ncquad.exactlin import (poly_degree, poly_divmod, poly_eval, poly_gcd,  # noqa: E402
+                             qq)
 from ncquad.families import commutative_presentation, word_vector  # noqa: E402
 from ncquad.qalg import build_table  # noqa: E402
 
@@ -50,4 +59,35 @@ def test_lazy_scan_matches_the_direct_fit(p, q, c, slack, den):
         mp.setattr(skly, "_scan_sample", lambda S, lift: outcomes[lift[0]])
         report = skly.pencil_discriminant(COMM, Q1, Q2, samples, d, table=_comm_table())
     assert (report.numerator, report.denominator) == reference
-    assert report.certified
+    # the reduced q has degree at most 2: it splits over Q iff its discriminant is a square
+    q = poly_divmod(q, poly_gcd(p, q))[0]
+    disc = q[1] ** 2 - 4 * q[0] * q[2] if len(q) == 3 else qq(0)
+    splits = disc >= 0 and qq(isqrt(disc.numerator), isqrt(disc.denominator)) ** 2 == disc
+    assert report.certified == splits
+
+
+ENTRY = st.integers(-2, 2)
+
+
+@st.composite
+def symmetric_forms(draw):
+    q = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            q[i][j] = q[j][i] = draw(ENTRY)
+    return q
+
+
+@settings(max_examples=20, deadline=None)
+@given(q1=symmetric_forms(), q2=symmetric_forms())
+def test_count_matches_the_determinant_route(q1, q2):
+    # on commutative S the member q1 + t q2 is singular exactly when
+    # det(q1 + t q2) = 0, and the member at infinity exactly when det(q2) = 0
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    det = sympy.Poly((sympy.Matrix(q1) + t * sympy.Matrix(q2)).det(), t)
+    z1, z2 = ([c for row in q for c in row] for q in (q1, q2))
+    hypothesis.assume(not det.is_zero and sympy.Matrix([z1, z2]).rank() == 2)
+    want = sympy.sqf_part(det).degree() + (sympy.Matrix(q2).det() == 0)
+    report = skly.pencil_discriminant(COMM, z1, z2, list(range(42)), 16, table=_comm_table())
+    assert report.distinct_root_count == want
