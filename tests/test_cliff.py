@@ -330,7 +330,7 @@ def _square_killed(n):
     (4, "dual dimensions at degrees (4, 6, 8) are (16, 24, 32), expected (8, 8, 8)"),
     (3, "dual dimensions at degrees (2, 4, 4) are (5, 9, 9), expected (4, 4, 4)"),
     (5, "dual dimensions at degrees (4, 6, 8) are (28, 44, 60), expected (16, 16, 16)"),
-])
+], ids=["n=4", "n=3", "n=5"])
 def test_stabilization_failure_names_two_to_the_n_minus_one(n, message):
     # the n = 4 text is the one the construction has always given
     with pytest.raises(HypothesisViolation) as info:
