@@ -249,8 +249,6 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
-    if args.degree_bound < 0:
-        raise SpecError("--degree-bound must be nonnegative, got %d" % args.degree_bound)
     need = min_samples(args.degree_bound)
     if args.samples < need:
         raise SpecError("--samples must be at least %d at degree bound %d, got %d"
@@ -348,10 +346,10 @@ def _cmd_sklyanin(args) -> int:
 
 def _cmd_mf_verify(args) -> int:
     p = _load_presentation(args.file)
-    lift, table = resolve_z_spec(args.z, p)
+    lift, _ = resolve_z_spec(args.z, p)
     phi = _load_json_arg(args.phi)
     psi = _load_json_arg(args.psi)
-    verdict = verify_matrix_factorization(p, phi, psi, lift, table=table)
+    verdict = verify_matrix_factorization(p, phi, psi, lift)
     payload = verdict.to_dict()
     if verdict.ok:
         _emit(args, payload, [

@@ -335,25 +335,20 @@ def _is_factor(mat) -> bool:
         for row in mat)
 
 
-def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift,
-                                table: GradedTable | None = None) -> MFVerdict:
+def verify_matrix_factorization(S: QuadraticPresentation, phi, psi, z_lift) -> MFVerdict:
     """Check phi psi = psi phi = z * identity over the degree-2 component.
 
     phi and psi are s x s matrices whose entries are degree-1 elements
     (coefficient vectors over the generators).  On success the verdict
     carries the 2-periodic cokernel Hilbert series s * (1 - t)^(-3),
     whose rational-function identity with s * H_A(t)/(1 + t) encodes the
-    period-two syzygy behaviour of the cokernel.  ValueError is raised
-    when table is a table of another algebra: one whose relations span
-    another subspace.
+    period-two syzygy behaviour of the cokernel.  The products are taken
+    in S's own table through degree 2.
     """
     if not (_is_factor(phi) and _is_factor(psi)):
         raise ValueError("factors must be lists of lists of coefficient lists")
     g = S.num_generators
-    if table is None:
-        table = build_table(S, 2)
-    elif table.presentation is not S and not table.presentation.relation_span_equals(S):
-        raise ValueError("the table is not a table of this presentation")
+    table = build_table(S, 2)
     s = len(phi)
     if s == 0 or len(psi) != s or any(len(r) != s for r in phi) or any(len(r) != s for r in psi):
         raise ValueError("factors must be square matrices of equal size")

@@ -267,29 +267,25 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
     words: list[list[tuple[int, ...]]] = [[()], [(i,) for i in range(g)]]
     # word b of degree n is (i,) + words[n - 1][t] for shapes[n][b] == (i, t)
     shapes: list[list[tuple[int, int]]] = [[], [(i, 0) for i in range(g)]]
-    # generator maps of the last degree
-    lcols = [[(1, {i: 1})] for i in range(g)]
-    left = [lcols]
+    left = [[[(1, {i: 1})] for i in range(g)]]
     # each relation as the integer terms (i, j, coef) of its pairs x_i x_j
     rels = [[(*divmod(k, g), c) for k, c in to_column(rel)[1].items()]
             for rel in p.relations]
-    keys = [None, None]  # inputs of steps n - 2 and n - 1
     period_start = None
 
     for n in range(1, max_degree):
         d_prev, d_n = dims[n - 1], dims[n]
         m = g * d_n
-        key = (d_prev, d_n, shapes[n], lcols)
-        if key == keys[0]:
+        lcols = left[n - 1]  # the generator maps out of degree n - 1
+        if n >= 3 and (d_prev, d_n, shapes[n], lcols) == (dims[n - 3], dims[n - 2],
+                                                          shapes[n - 2], left[n - 3]):
             if period_start is None:
                 period_start = n
             # the inputs of step n - 1 are the outputs of step n - 2
-            lcols = keys[1][3]
             left.append(left[n - 2])
             dims.append(dims[n - 1])
             shapes.append(shapes[n - 1])
             words.append([(i,) + words[n][t] for i, t in shapes[n - 1]])
-            keys = [keys[1], key]
             continue
 
         # words[n] ascends, so the word x_i words[n][t] of coordinate
@@ -328,13 +324,8 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
                 return 1, {pos_to_basis[k]: 1}
             return row[k], {pos_to_basis[j]: -x for j, x in row.items() if j != k}
 
-        # step n + 2 can match this step only if d_next == d_prev; otherwise
-        # the maps out of degree n - 1 are freed here, as without the keys
-        keys = [keys[1], key if d_next == d_prev else None]
-        del key
         # left maps: x_i times basis word b of degree n is coordinate i * d_n + b
-        lcols = [[reduced(m - 1 - i * d_n - b) for b in range(d_n)] for i in range(g)]
-        left.append(lcols)
+        left.append([[reduced(m - 1 - i * d_n - b) for b in range(d_n)] for i in range(g)])
         dims.append(d_next)
         shapes.append(new_shape)
         words.append([(i,) + words[n][t] for i, t in new_shape])

@@ -14,30 +14,32 @@ parameters and recovers the number of distinct singular members from
 the vanishing locus of the trace-form determinant, reconstructed
 exactly as a function of the pencil parameter.
 
-Process model: where os.fork exists, at least two CPUs are usable and
-no second thread is alive, the scan forks one helper process and feeds
-it jobs through a pipe: the member at infinity first, then sample
-indices, each time the lowest unassigned sample.  The helper builds its
-jobs in the order sent and pickles each outcome, with its job, down a
-second pipe at once.  The caller keeps the helper _AHEAD jobs ahead;
-when the outcome it needs next is not in hand, it builds the lowest
-unassigned sample itself, and it waits for the helper only when no
-sample worth building is left.  A sample is worth building while it lies
-among the fewest samples the scan can still read before it stops (with
-_AHEAD more before the fit sets the stop), so at most _AHEAD members are
-built past the stop, and none where the stop lies _AHEAD or more used
-samples past min_samples(d).  An outcome depends only on S and its job,
-and the caller uses them in sample order through the one scan loop, so
-the fit, the stop and the skips see what a scan in one process sees: a
-HypothesisViolation is skipped, any other exception is re-raised at its
-sample's position only if the scan gets that far, and the outcome of the
-member at infinity is read after the loop.  If the fork fails, the scan
-runs in one process; if the helper dies owing the outcome the scan
-needs, RuntimeError names that sample; if it sends nothing for a second
-while the caller waits (it is stopped, or starved of CPU), the caller
-kills it and builds the rest itself.  The helper is killed (SIGKILL)
-once the scan has read the member at infinity, or in
-pencil_discriminant's finally clause, which also reaps it.
+Process model: the scan reads every member through one work queue.
+Where os.fork exists, at least two CPUs are usable and no second thread
+is alive, the queue forks one helper process and feeds it jobs through a
+pipe: the member at infinity first, then sample indices, each time the
+lowest unassigned sample.  The helper builds its jobs in the order sent
+and pickles each outcome, with its job, down a second pipe at once.  The
+caller keeps the helper _AHEAD jobs ahead; when the outcome it needs
+next is not in hand, it builds the lowest unassigned sample itself, and
+it waits for the helper only when no sample worth building is left.  A
+sample is worth building while it lies among the fewest samples the scan
+can still read before it stops (with _AHEAD more before the fit sets the
+stop), so at most _AHEAD members are built past the stop, and none where
+the stop lies _AHEAD or more used samples past min_samples(d).  An
+outcome depends only on S and its job, and the caller uses them in
+sample order through the one scan loop, so the fit, the stop and the
+skips see what a scan with no helper sees: a HypothesisViolation is
+skipped, any other exception is re-raised at its sample's position only
+if the scan gets that far, and the outcome of the member at infinity is
+read after the loop.  Elsewhere, or if the fork fails, the queue keeps
+no process and the caller builds each job as it takes it; if the helper
+dies owing the outcome the scan needs, RuntimeError names that sample;
+if it sends nothing for a second while the caller waits (it is stopped,
+or starved of CPU), the caller kills it and builds the rest itself.  The
+helper is killed (SIGKILL) once the scan has read the member at
+infinity, or in pencil_discriminant's finally clause, which also reaps
+it.
 """
 
 from __future__ import annotations
@@ -483,51 +485,8 @@ _AT_INFINITY = -1       # the job of the member at infinity; other jobs are samp
 _PATIENCE_MS = 1000     # the silence after which a waited-for helper is given up
 
 
-def _fork_helper(work, samples: list):
-    """Fork a process that runs work(job) for each job it is sent, in order.
-
-    Returns None where a fork cannot pay, is unsafe or fails (see the
-    module docstring), else the _Helper that feeds it.  The child reads
-    jobs, 4-byte signed integers, until the job pipe closes, and answers
-    each with a length-prefixed pickle of (job, outcome), the outcome
-    being work's value or the exception it raised.  It ends only through
-    os._exit, running no atexit handler and flushing no buffer of the
-    caller's.
-    """
-    if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() != 1:
-        return None
-    import pickle
-    jobs_read, jobs_write = os.pipe()
-    answers_read, answers_write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (jobs_read, jobs_write, answers_read, answers_write):
-            os.close(fd)
-        return None
-    if pid == 0:
-        try:
-            os.close(jobs_write)
-            os.close(answers_read)
-            with open(jobs_read, "rb") as jobs, open(answers_write, "wb") as out:
-                for raw in iter(lambda: jobs.read(4), b""):
-                    job = int.from_bytes(raw, "little", signed=True)
-                    try:
-                        outcome = work(job)
-                    except Exception as exc:
-                        outcome = exc
-                    data = pickle.dumps((job, outcome))
-                    out.write(len(data).to_bytes(8, "little") + data)
-                    out.flush()
-        finally:
-            os._exit(0)
-    os.close(jobs_read)
-    os.close(answers_write)
-    return _Helper(pid, jobs_write, answers_read, pickle.loads, work, samples)
-
-
 class _Helper:
-    """The caller's side of a forked helper's work queue.
+    """The scan's work queue, with a forked helper process where one can pay.
 
     take(job, left) returns the outcome of a job, or raises the exception
     it raised.  The scan takes the samples in order, then the member at
@@ -535,22 +494,53 @@ class _Helper:
     job on, worth building (see the module docstring).  A sample is
     assigned once, to the helper or to this process, in increasing order
     and only among those left; the helper's first sample job is therefore
-    the second sample.  The outcomes of a helper given up fall to this
-    process.
+    the second sample.  Where a fork cannot pay, is unsafe or fails (see
+    the module docstring), no process is kept and every job is built here,
+    as are the outcomes of a helper given up.  The child reads jobs,
+    4-byte signed integers, until the job pipe closes, and answers each
+    with a length-prefixed pickle of (job, outcome), the outcome being
+    work's value or the exception it raised.  It ends only through
+    os._exit, running no atexit handler and flushing no buffer of the
+    caller's.
     """
 
-    def __init__(self, pid, jobs, answers, loads, work, samples):
-        self.pid, self.jobs, self.answers, self.loads = pid, jobs, answers, loads
+    def __init__(self, work, samples: list):
         self.work, self.samples = work, samples
-        from select import POLLIN, poll
-        self.poller = poll()
-        self.poller.register(answers, POLLIN)
+        self.pid = None          # the helper's, while it is kept
         self.buffer = bytearray()
         self.owed = set()        # jobs sent and not answered
         self.held = {}           # outcomes in hand, by job
         self.next = 0            # the lowest unassigned sample
         self.dead = False        # the helper ended on its own
         self.left = 0            # samples worth building, from the one taken on
+        if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() != 1:
+            return
+        import pickle
+        jobs_read, self.jobs = os.pipe()
+        self.answers, answers_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (jobs_read, self.jobs, self.answers, answers_write):
+                os.close(fd)
+            return
+        if pid == 0:
+            try:
+                os.close(self.jobs)
+                os.close(self.answers)
+                with open(jobs_read, "rb") as jobs, open(answers_write, "wb") as out:
+                    for raw in iter(lambda: jobs.read(4), b""):
+                        job = int.from_bytes(raw, "little", signed=True)
+                        data = pickle.dumps((job, self._build(job)))
+                        out.write(len(data).to_bytes(8, "little") + data)
+                        out.flush()
+            finally:
+                os._exit(0)
+        os.close(jobs_read)
+        os.close(answers_write)
+        from select import POLLIN, poll
+        self.pid, self.loads, self.poller = pid, pickle.loads, poll()
+        self.poller.register(self.answers, POLLIN)
         self._send(_AT_INFINITY)
 
     def take(self, job, left: int):
@@ -652,7 +642,7 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     process shares the work (see the module docstring), a member may be
     built a few samples ahead, but its outcome is acted on only when the
     scan reaches it, and the member at infinity is read after the loop,
-    so the report and every error are those of a scan in one process.
+    so the report and every error are those of a scan with no helper.
     Each member's lift omega1 + t*omega2 is built only with the member,
     by the process that builds it, so an error in it is that member's
     error.
@@ -765,16 +755,13 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     def member(job):
         return singular(omega2_lift) if job == _AT_INFINITY else _scan_sample(
             S, lift_at(samples[job]))
-    helper = _fork_helper(member, samples)
+    helper = _Helper(member, samples)
     try:
         for i, lam in enumerate(samples):
+            # samples worth building: up to the stop, or _AHEAD past its earliest
+            left = stop - len(points) if fit else need + _AHEAD - max(counts.values(), default=0)
             try:
-                if helper is None:
-                    value, pattern = member(i)
-                else:  # samples worth building: up to the stop, or _AHEAD past its earliest
-                    left = (stop - len(points) if fit else
-                            need + _AHEAD - max(counts.values(), default=0))
-                    value, pattern = helper.take(i, left)
+                value, pattern = helper.take(i, left)
             except HypothesisViolation as exc:
                 built.append((lam, None, str(exc)))
                 continue
@@ -804,11 +791,8 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         if len(points) < need:
             raise PencilError("need at least %d usable samples at degree bound %d, have %d"
                               % (need, d, len(points) or max(counts.values())))
-        if helper is None:
-            infinity_singular = member(_AT_INFINITY)
-        else:  # the helper's exit overlaps the rest; close() reaps it
-            infinity_singular = helper.take(_AT_INFINITY, 0)
-            helper.kill()
+        infinity_singular = helper.take(_AT_INFINITY, 0)
+        helper.kill()  # its exit overlaps the rest; close() reaps it
         skipped = [(lam, x if p is None else PATTERN_SKIP) for lam, p, x in built if p != main]
         mode = "polynomial" if fit.denominator == [1] else "rational"
         sq_degree = poly_squarefree_degree(fit.numerator)
@@ -817,8 +801,7 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         off_fit.update(poles)
         missed = sum(1 for lam, sing in off_fit.items() if sing and poly_eval(fit.numerator, lam))
     finally:  # here, not in a generator: a PencilError's traceback would keep it alive
-        if helper is not None:
-            helper.close()
+        helper.close()
 
     return PencilReport(
         sample_values=points,

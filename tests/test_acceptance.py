@@ -129,20 +129,24 @@ def _control_oracle_count():
 
 def test_criterion_06_pencil_algebraic_route(monkeypatch):
     # the scan stops once d + e + 1 = 49 members agree with a fit of degree
-    # e = 16: 49 sklyanin members, and 50 control ones, as lambda = 0 has
-    # another normal-word pattern; one usable CPU keeps every build in this
+    # e = 16: 49 sklyanin samples, and 50 control ones, as lambda = 0 has
+    # another normal-word pattern.  Every member goes through
+    # clifford_with_scale: the samples, the member at infinity and, for
+    # sklyanin, its pole at 5/9.  One usable CPU keeps every build in this
     # process, where the counts can see it
     monkeypatch.setattr(skly, "_usable_cpus", lambda: 1)
-    built = []
-    scan_sample = skly._scan_sample
+    built, members = [], []
+    scan_sample, with_scale = skly._scan_sample, skly.clifford_with_scale
     monkeypatch.setattr(skly, "_scan_sample",
                         lambda S, lift: built.append(S) or scan_sample(S, lift))
+    monkeypatch.setattr(skly, "clifford_with_scale",
+                        lambda h: members.append(h) or with_scale(h))
     t0 = time.monotonic()
     samples = list(range(74))
     control = pencil_discriminant(COMM, FOUR_FORMS["hyperbolic"],
                                   FOUR_FORMS["rank4"], samples, 32)
     ok = control.distinct_root_count == _control_oracle_count()
-    ok = ok and len(built) <= 50
+    ok = ok and len(built) <= 50 and len(members) <= 51
 
     pres = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
     table = build_table(pres, 3)
@@ -150,10 +154,11 @@ def test_criterion_06_pencil_algebraic_route(monkeypatch):
     omega1 = element_word_lift(table, center.column(0), 2)
     omega2 = element_word_lift(table, center.column(1), 2)
     built.clear()
+    members.clear()
     skly_report = pencil_discriminant(pres, omega1, omega2, samples, 32,
                                       table=table)
     ok = ok and skly_report.distinct_root_count == 4
-    ok = ok and skly_report.certified and len(built) <= 49
+    ok = ok and skly_report.certified and len(built) <= 49 and len(members) <= 51
     _verdict(6, "pencil scan: control matches 4x4 determinant oracle, "
                 "elliptic pencil has 4 singular members",
              ok, time.monotonic() - t0, budget=600)

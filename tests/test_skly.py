@@ -879,6 +879,8 @@ def test_no_helper_with_one_cpu_or_a_second_thread(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert pencil_discriminant(*_comm_pencil(), samples, 4).certified
 
 
 def test_failed_fork_builds_every_member_here(monkeypatch):

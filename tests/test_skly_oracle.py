@@ -29,6 +29,7 @@ from ncquad.exactlin import (poly_degree, poly_divmod, poly_eval, poly_gcd,  # n
                              qq)
 from ncquad.families import commutative_presentation, word_vector  # noqa: E402
 from ncquad.qalg import build_table  # noqa: E402
+from test_skly import PATTERN_CHANGE_PAIRS  # noqa: E402
 
 COMM = commutative_presentation()
 Q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
@@ -91,3 +92,21 @@ def test_count_matches_the_determinant_route(q1, q2):
     want = sympy.sqf_part(det).degree() + (sympy.Matrix(q2).det() == 0)
     report = skly.pencil_discriminant(COMM, z1, z2, list(range(42)), 16, table=_comm_table())
     assert report.distinct_root_count == want
+
+
+SMALL = st.fractions(-2, 2, max_denominator=3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(pair=st.sampled_from(PATTERN_CHANGE_PAIRS), k=SMALL, c=SMALL.filter(bool))
+def test_a_reparametrized_pattern_change_is_counted(pair, k, c):
+    # member t of (q1 + k q2, c q2) is member k + c t of (q1, q2), so the
+    # singular member at lam0, where the pattern changes, moves to
+    # (lam0 - k) / c: a sample skipped for its pattern, or a pole of the fit
+    q1, q2, lam0 = pair
+    z1, z2 = ([qq(x) for row in q for x in row] for q in (q1, q2))
+    report = skly.pencil_discriminant(COMM, [a + k * b for a, b in zip(z1, z2)],
+                                      [c * b for b in z2], list(range(42)), 16,
+                                      table=_comm_table())
+    assert (report.distinct_root_count, report.certified) == (4, True)
+    assert skly._rational_roots(report.denominator) == ([(lam0 - k) / c], True)

@@ -5,16 +5,20 @@ literals, calls to float() or round(), and math imports other than the
 exact integer functions; for imports of anything but the standard
 library, the package's own modules and gmpy2 (numpy, sympy and
 hypothesis serve tests and benches only); and for process control,
-os.fork, os.kill, os._exit and pickle, outside skly's one helper.
+os.fork, os.kill, os._exit and pickle, outside skly's one helper.  Every
+name the benchmark's traced pass wraps must exist in the package.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ncquad").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ncquad").glob("*.py"))
 EXACT_MATH = {"gcd", "lcm", "prod", "comb", "isqrt"}
 ALLOWED_PACKAGES = {"ncquad", "gmpy2"}
 
@@ -77,7 +81,7 @@ def test_only_stdlib_and_gmpy2_imports_in_the_package(path):
 
 
 PROCESS_CALLS = {"fork", "kill", "_exit"}
-HELPER_CODE = {("skly.py", "_fork_helper"), ("skly.py", "_Helper")}
+HELPER_CODE = {("skly.py", "_Helper")}
 
 
 def process_uses(tree: ast.AST) -> list:
@@ -117,3 +121,15 @@ def test_processes_are_forked_only_by_the_scan_helper(path):
     # and whose pickles cross only its own pipes
     uses = process_uses(ast.parse(path.read_text(), str(path)))
     assert [u for u in uses if (path.name, u[2]) not in HELPER_CODE] == []
+
+
+def test_every_traced_name_is_in_the_package():
+    # the traced benchmark wraps these names; a sweep that deleted one
+    # would otherwise break only that benchmark
+    spec = importlib.util.spec_from_file_location("_perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, name) for module, names in spans.LAYERS.items() for name in names
+               if not hasattr(importlib.import_module("ncquad." + module), name)]
+    assert missing == []
