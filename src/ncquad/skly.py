@@ -349,7 +349,10 @@ def min_samples(degree_bound: int) -> int:
 
     The scan fits the square root of its values at degrees at most
     (h, h), h = ceil(d / 2): 2h + 2 samples to fit, 3 held out.
+    ValueError is raised unless d is a nonnegative integer.
     """
+    if isinstance(degree_bound, bool) or not isinstance(degree_bound, int) or degree_bound < 0:
+        raise ValueError("degree bound must be a nonnegative integer, got %r" % (degree_bound,))
     return 2 * ((degree_bound + 1) // 2) + 5
 
 
@@ -710,11 +713,9 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     must be distinct as rationals.  mode is "polynomial" when the reduced
     denominator is 1, else "rational".
     """
-    if isinstance(degree_bound, bool) or not isinstance(degree_bound, int) or degree_bound < 0:
-        raise ValueError("degree bound must be a nonnegative integer, got %r" % (degree_bound,))
+    need = min_samples(degree_bound)
     samples = [qq(lam) for lam in samples]
     d = degree_bound
-    need = min_samples(d)
     omega1_lift = [qq(c) for c in omega1_lift]
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:

@@ -498,6 +498,9 @@ def test_bad_degree_bound_is_refused_before_any_member(monkeypatch, bound):
     monkeypatch.setattr(os, "fork", _no_fork)
     with pytest.raises(ValueError, match="^degree bound must be a nonnegative integer"):
         pencil_discriminant(*_comm_pencil(), list(range(42)), bound)
+    # the CLI's --samples check reads the bound through min_samples first
+    with pytest.raises(ValueError, match="^degree bound must be a nonnegative integer"):
+        skly.min_samples(bound)
 
 
 def test_table_must_reach_degree_3_and_be_of_this_algebra(monkeypatch):
