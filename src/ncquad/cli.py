@@ -122,21 +122,23 @@ def parse_quadratic_expression(text: str, names) -> list:
     return vec
 
 
-def resolve_z_spec(spec: str, presentation: QuadraticPresentation, table=None):
-    """A z choice: central-basis index (bare integer) or an expression.
+def resolve_z_spec(spec: str, presentation: QuadraticPresentation, table=None) -> list:
+    """The lift, in the word space, of a z choice: a central-basis index
+    (bare integer) or an expression.
 
-    Returns (lift vector in the word space, table through degree 3).
+    Only an index reads a table through degree 3; it is built here when
+    none is given.
     """
-    if table is None:
-        table = build_table(presentation, 3)
     if re.fullmatch(r"\d+", spec.strip()):
+        if table is None:
+            table = build_table(presentation, 3)
         basis = central_quadratic_space(table)
         idx = int(spec)
         if idx >= basis.cols:
             raise SpecError("central basis has dimension %d, index %d out of range"
                             % (basis.cols, idx))
-        return element_word_lift(table, basis.column(idx), 2), table
-    return parse_quadratic_expression(spec, presentation.generator_names), table
+        return element_word_lift(table, basis.column(idx), 2)
+    return parse_quadratic_expression(spec, presentation.generator_names)
 
 
 def _load_presentation(path: str) -> QuadraticPresentation:
@@ -214,7 +216,8 @@ def _cmd_center(args) -> int:
 def _invariant_algebra(args):
     """C(A) of the quadric cut out by the central --z in the presentation file."""
     p = _load_presentation(args.file)
-    lift, table = resolve_z_spec(args.z, p)
+    table = build_table(p, 3)
+    lift = resolve_z_spec(args.z, p, table)
     require_central(table, lift, "z")
     return clifford_algebra(HypersurfaceData(p, lift))
 
@@ -255,8 +258,8 @@ def _cmd_pencil(args) -> int:
                         % (need, args.degree_bound, args.samples))
     p = _load_presentation(args.file)
     table = build_table(p, 3)
-    lift1, _ = resolve_z_spec(args.omega1, p, table)
-    lift2, _ = resolve_z_spec(args.omega2, p, table)
+    lift1 = resolve_z_spec(args.omega1, p, table)
+    lift2 = resolve_z_spec(args.omega2, p, table)
     samples = list(range(args.samples))
     report = pencil_discriminant(p, lift1, lift2, samples, args.degree_bound,
                                  table=table)
@@ -346,7 +349,7 @@ def _cmd_sklyanin(args) -> int:
 
 def _cmd_mf_verify(args) -> int:
     p = _load_presentation(args.file)
-    lift, _ = resolve_z_spec(args.z, p)
+    lift = resolve_z_spec(args.z, p)
     phi = _load_json_arg(args.phi)
     psi = _load_json_arg(args.psi)
     verdict = verify_matrix_factorization(p, phi, psi, lift)

@@ -377,7 +377,7 @@ def word_vector_class(table: GradedTable, vec) -> list:
     if len(vec) != g * g:
         raise ValueError("expected a degree-2 word vector")
     left = table.left_cols
-    words = [combine(left[1][i], left[0][j][0]) for i in range(g) for j in range(g)]
+    words = [left[1][i][j] for i in range(g) for j in range(g)]
     return to_dense(combine(words, to_column(vec)), table.dims[2])
 
 

@@ -133,28 +133,6 @@ class Matrix:
                                        [[qq_str(x) for x in row] for row in self.entries])
 
 
-def _cross_reduce(row: dict, c: int, piv: dict) -> dict:
-    """Primitive multiple of a*row - b*piv, which is zero at column c.
-
-    Both are integer rows and a/b is piv[c]/row[c] in lowest terms.  a is
-    positive when piv[c] is, so an entry of row at a column where piv is
-    zero keeps its sign.
-    """
-    p, f = piv[c], row[c]
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    if a != 1:
-        row = {j: a * x for j, x in row.items()}
-    for j, x in piv.items():
-        v = row.get(j, 0) - b * x
-        if v:
-            row[j] = v
-        else:
-            del row[j]
-    g = gcd(*row.values())
-    return row if g == 1 else {j: x // g for j, x in row.items()}
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns.
 
@@ -240,11 +218,13 @@ class SpanBuilder:
     """Incremental row-space container for rank and membership queries.
 
     Rows are kept as {column: int} dicts and reduced by fraction-free
-    incremental Gauss-Jordan: each incoming row is cleared at every pivot
-    column it hits by cross-multiplication with the held pivot row, in
-    one pass, and its content is removed once at the end.  A row that
+    incremental Gauss-Jordan through one elimination step, ``_reduce``,
+    which clears a row at the pivot columns it is given by
+    cross-multiplication with the held pivot rows, in one pass.  An
+    incoming row is cleared at every pivot column it hits.  A row that
     reduces to zero lies in the span; otherwise its leftmost entry
-    becomes a new pivot, which is cleared from the rows already held.
+    becomes a new pivot, and each held row that meets it is cleared at
+    that column alone.  Each reduced row's content is removed once.
     Every held row (``pivot_rows``, by pivot) is kept primitive
     with a positive pivot entry, a multiple of a row of a partial RREF,
     so entry sizes stay bounded.  A rational vector enters through
@@ -257,13 +237,15 @@ class SpanBuilder:
         self.dim = dim
         self.pivot_rows: dict[int, dict] = {}  # read only outside this class
 
-    def _reduce(self, row: dict) -> dict:
-        """A positive multiple of row minus a combination of the held rows,
-        zero at every pivot column; its content is left for the caller."""
+    def _reduce(self, row: dict, cols: list) -> dict:
+        """A positive multiple of row minus multiples of the pivot rows at
+        cols, zero at every column in cols; its content is left for the caller.
+
+        Pivot rows are zero at every other pivot column, so clearing one
+        column of cols changes row at no other pivot column.
+        """
         held = self.pivot_rows
-        # pivot rows are zero at every other pivot column, so the set of
-        # pivots an incoming row hits is fixed before any is cleared
-        for c in [c for c in row if c in held]:
+        for c in cols:
             piv = held[c]
             p, f = piv[c], row[c]
             g = gcd(p, f)
@@ -280,7 +262,8 @@ class SpanBuilder:
 
     def add_row(self, row: dict) -> bool:
         """Add (and consume) an integer row {column: nonzero int}; True if the span grew."""
-        row = self._reduce(row)
+        held = self.pivot_rows
+        row = self._reduce(row, [c for c in row if c in held])
         if not row:
             return False
         c = min(row)
@@ -289,11 +272,15 @@ class SpanBuilder:
             g = -g
         if g != 1:
             row = {j: x // g for j, x in row.items()}
-        held = self.pivot_rows
-        for k, other in held.items():
-            if c in other:
-                held[k] = _cross_reduce(other, c, row)
         held[c] = row
+        # back-substitution; row's pivot entry is positive, so each held
+        # row keeps the sign of its own (k != c is tested second, as few
+        # held rows meet c)
+        for k, other in held.items():
+            if c in other and k != c:
+                other = self._reduce(other, (c,))
+                g = gcd(*other.values())
+                held[k] = other if g == 1 else {j: x // g for j, x in other.items()}
         return True
 
     def add(self, vec: list) -> bool:
@@ -301,7 +288,8 @@ class SpanBuilder:
         return self.add_row(to_column(vec)[1])
 
     def contains(self, vec: list) -> bool:
-        return not self._reduce(to_column(vec)[1])
+        row = to_column(vec)[1]
+        return not self._reduce(row, [c for c in row if c in self.pivot_rows])
 
     @property
     def rank(self) -> int:

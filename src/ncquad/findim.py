@@ -172,21 +172,21 @@ def radical(alg: FinDimAlgebra) -> Matrix:
 
 
 def _cross_verify_radical(alg: FinDimAlgebra) -> tuple:
-    """(rad, quo): the trace form's kernel, cross-verified (see radical), and the quotient."""
-    rad = kernel_basis(trace_gram(alg))
-    n = alg.dim
+    """(rad, quo): the trace form's kernel, cross-verified, and the quotient.
+
+    The checks: the two-sided ideal the kernel's rows generate has their
+    rank, some power of it vanishes, and the quotient's trace form has a
+    nonzero determinant.  A zero kernel leaves the algebra as its own
+    quotient, whose Gram matrix is the one the kernel was taken of.
+    """
+    gram = trace_gram(alg)
+    rad = kernel_basis(gram)
     rad_rows = [to_column(c)[1] for c in rad.columns()]
-    span = SpanBuilder(n)
-    for r in rad_rows:
-        span.add_row(dict(r))
-    for r in rad_rows:
-        for i in range(n):
-            # a product outside the span enlarges it
-            if span.add_row(alg.product({i: 1}, r)) or span.add_row(alg.product(r, {i: 1})):
-                raise RuntimeError("radical cross-check failed: not a two-sided ideal")
+    if _ideal_span(alg, rad_rows).rank > len(rad_rows):
+        raise RuntimeError("radical cross-check failed: not a two-sided ideal")
     power = rad_rows
     while power:
-        nxt = SpanBuilder(n)
+        nxt = SpanBuilder(alg.dim)
         for u in power:
             for r in rad_rows:
                 nxt.add_row(alg.product(u, r))
@@ -194,7 +194,7 @@ def _cross_verify_radical(alg: FinDimAlgebra) -> tuple:
             raise RuntimeError("radical cross-check failed: ideal is not nilpotent")
         power = list(nxt.pivot_rows.values())
     quo, _ = quotient_by_subspace(alg, rad)
-    if quo.dim and det(trace_gram(quo)) == 0:
+    if quo.dim and det(gram if quo is alg else trace_gram(quo)) == 0:
         raise RuntimeError("radical cross-check failed: quotient trace form degenerate")
     return rad, quo
 
@@ -242,16 +242,16 @@ def center_basis(alg: FinDimAlgebra) -> Matrix:
     return kernel_basis(Matrix.of_integers(rows, n))
 
 
-def commutator_ideal(alg: FinDimAlgebra) -> SpanBuilder:
-    """Two-sided ideal generated by all commutators of basis elements."""
-    n, ints = alg.dim, alg.ints
+def _ideal_span(alg: FinDimAlgebra, rows: list) -> SpanBuilder:
+    """Span of the two-sided ideal generated by integer rows.
+
+    The span of rows is closed under left and right multiplication by
+    the basis, one frontier of new rows at a time, and returned as soon
+    as it is everything.
+    """
+    n = alg.dim
     span = SpanBuilder(n)
-    frontier = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = {k: x for k in range(n) if (x := ints[i][j].get(k, 0) - ints[j][i].get(k, 0))}
-            if span.add_row(dict(c)):
-                frontier.append(c)
+    frontier = [r for r in rows if span.add_row(dict(r))]
     while frontier:
         nxt = []
         for v in frontier:
@@ -263,6 +263,14 @@ def commutator_ideal(alg: FinDimAlgebra) -> SpanBuilder:
                         nxt.append(w)
         frontier = nxt
     return span
+
+
+def commutator_ideal(alg: FinDimAlgebra) -> SpanBuilder:
+    """Span of the two-sided ideal generated by all commutators of basis elements."""
+    n, ints = alg.dim, alg.ints
+    return _ideal_span(alg, [
+        {k: x for k in range(n) if (x := ints[i][j].get(k, 0) - ints[j][i].get(k, 0))}
+        for i in range(n) for j in range(i + 1, n)])
 
 
 def one_dim_reps_absent(alg: FinDimAlgebra, rad: Matrix | None = None) -> bool:

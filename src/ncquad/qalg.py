@@ -68,10 +68,11 @@ class QuadraticPresentation:
         """The relations and a basis of their annihilator R_perp, as dense integer rows.
 
         Each relation is scaled by the lcm of its denominators; the
-        annihilator rows are koszul_dual's relations scaled the same way,
-        primitive because each has an entry 1 before scaling.  Both are
-        computed once per relations tuple: rebinding ``relations``
-        recomputes them and drops every cached comparison_kernel.
+        annihilator rows are koszul_dual's relations, the kernel columns
+        of R, scaled the same way, primitive because each has an entry 1
+        before scaling.  The kernel and both row lists are computed once
+        per relations tuple: rebinding ``relations`` recomputes them and
+        drops every cached comparison_kernel.
         """
         if self._rows is None or self._rows[0] is not self.relations:
             n = self.num_generators ** 2
@@ -79,8 +80,8 @@ class QuadraticPresentation:
             def dense(vecs):
                 return [tuple(nums.get(k, 0) for k in range(n))
                         for _, nums in map(to_column, vecs)]
-            ann = kernel_basis(Matrix.from_rows(self.relations, cols=n)).columns()
-            self._rows = (self.relations, dense(self.relations), dense(ann), {})
+            ann = tuple(map(tuple, kernel_basis(Matrix.from_rows(self.relations, n)).columns()))
+            self._rows = (self.relations, dense(self.relations), dense(ann), {}, ann)
         return self._rows[1], self._rows[2]
 
     def comparison_kernel(self, words) -> list:
@@ -185,11 +186,13 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     """Quadratic dual: relations are a basis of the annihilator of R.
 
     The pairing is <x_i (x) x_j, x_k* (x) x_l*> = delta_ik delta_jl with
-    no sign twist; dim R + dim R_perp = g^2 always holds.
+    no sign twist; dim R + dim R_perp = g^2 always holds.  The basis is
+    the kernel of R that p caches beside its integer rows, computed once
+    per relations tuple; kernel columns are independent, so it is wrapped
+    without re-ranking.
     """
-    g = p.num_generators
-    cols = kernel_basis(Matrix.from_rows(p.relations, cols=g * g)).columns()
-    return QuadraticPresentation(p.generator_names, cols)
+    p.integer_rows()
+    return QuadraticPresentation._of(p.generator_names, p._rows[4])
 
 
 @dataclass
@@ -198,6 +201,9 @@ class GradedTable:
 
     ``words[n][b]`` is the representative word of basis element b in
     degree n; every representative evaluates to its own basis vector.
+    ``shapes[n][b]`` is its (first letter, tail index) pair (i, t), for
+    ``words[n][b] == (i,) + words[n - 1][t]`` (``shapes[0]`` is empty);
+    the right maps and the regularity check's z-maps chain through it.
     ``left_cols[n][i]`` is multiplication by generator i on the left, a
     map from degree n to degree n+1, as its list of integer columns (see
     exactlin), and ``right_cols[n][i]`` the same on the right, derived
@@ -212,6 +218,7 @@ class GradedTable:
     max_degree: int
     dims: list[int]
     words: list[list[tuple[int, ...]]]
+    shapes: list[list[tuple[int, int]]]
     left_cols: list[list[list]]
     period_start: int | None = None
 
@@ -233,9 +240,8 @@ class GradedTable:
             elif n == 0:
                 out.append([[(1, {i: 1})] for i in range(g)])
             else:
-                tails = {w: t for t, w in enumerate(self.words[n - 1])}
                 prev = out[n - 1]
-                out.append([[combine(lmaps[w[0]], prev[i][tails[w[1:]]]) for w in self.words[n]]
+                out.append([[combine(lmaps[k], prev[i][t]) for k, t in self.shapes[n]]
                             for i in range(g)])
         return out
 
@@ -330,7 +336,7 @@ def build_table(p: QuadraticPresentation, max_degree: int) -> GradedTable:
         shapes.append(new_shape)
         words.append([(i,) + words[n][t] for i, t in new_shape])
 
-    return GradedTable(p, max_degree, dims, words, left, period_start)
+    return GradedTable(p, max_degree, dims, words, shapes, left, period_start)
 
 
 def hilbert(table: GradedTable) -> list[int]:
@@ -486,8 +492,7 @@ def is_regular_central(table: GradedTable, z: list, bound: int) -> RegularityCer
             cols = [to_column(z)]
         else:
             prev, left = z_maps[n - 1], table.left_cols[n + 1]
-            tails = {w: b for b, w in enumerate(table.words[n - 1])}
-            cols = [combine(left[w[0]], prev[tails[w[1:]]]) for w in table.words[n]]
+            cols = [combine(left[k], prev[t]) for k, t in table.shapes[n]]
         span = SpanBuilder(table.dims[n + 2])
         if not all(span.add_row(dict(nums)) for _, nums in cols):
             ker = kernel_basis(column_matrix(cols, table.dims[n + 2]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import ncquad
+from ncquad import cli, cliff
 from ncquad.cli import main, parse_quadratic_expression, resolve_z_spec
 from ncquad.exactlin import qq
 from ncquad.families import commutative_presentation, word_vector
-from ncquad.qalg import QuadraticPresentation
+from ncquad.qalg import QuadraticPresentation, build_table
 
 ROOT = Path(__file__).resolve().parents[1]
 COMM_FILE = str(ROOT / "presentations/comm4.json")
@@ -42,10 +44,9 @@ def test_expression_parser():
 
 def test_resolve_central_index():
     p = QuadraticPresentation.load(open(SKLY_FILE).read())
-    lift, table = resolve_z_spec("1", p)
-    assert len(lift) == 16
+    assert len(resolve_z_spec("1", p)) == 16
     with pytest.raises(ValueError):
-        resolve_z_spec("7", p, table)
+        resolve_z_spec("7", p, build_table(p, 3))
 
 
 def test_hilbert_command(capsys):
@@ -375,10 +376,45 @@ def readme_commands():
     return [shlex.split(line, comments=True) for line in lines if line.startswith("ncquad ")]
 
 
+# sha256 of each README command's stdout, in README order
+README_OUTPUT_SHA256 = [
+    "45cac41e0e4b91406bd34fcc01246181ca9b79a33d14da1ff79a18c82c3c1f75",  # hilbert
+    "390e56d6b04a505fa45e3f6e2aeb3b579ae02c792710801749e8a3b1210da76c",  # dual
+    "59e0c304ad9bbcf842fd7dad4920873eb511a509b4f74a915693033ad3b9ab5d",  # center
+    "2ffbf55b46925003504bf9018395ffe220b126083ddf884a827fe02bdbecd43d",  # clifford
+    "4234d0a840bb16195327909cadd14b2f329b9e6ad1a741a529cf9bf4413dcf23",  # smooth comm4
+    "4234d0a840bb16195327909cadd14b2f329b9e6ad1a741a529cf9bf4413dcf23",  # smooth sklyanin_a
+    "99a6fc54a0a92cb74b98a326dd437c9f580c68b0addd3340122ed74062cf68e0",  # smooth comm3
+    "6ad357bc3ed55c312bb8a71932ddccc3c75d8ddcf9a1152057a6faef930b9278",  # pencil
+    "a4fa5ceb590bdc0bfa7828dd340e61438b8bc32d57112e2c7bd86c03e8b48101",  # k0 suite
+    "48a182bc7b754daea548ae2d31165bc2400ff6a93f1594b88b1a789d383b301e",  # k0 table
+    "54f72d6ac5ebd43e1d651c23ff40d9b90c0da6fe3838a70e180ec9a0be7334eb",  # k0 fat
+    "5e17f81be012e5321849b105f19f5d8029754256b002243976731a397c94b7e4",  # sklyanin singular
+    "d73832b589908f54583a286da69c0c2d425786a7634c9906f97d1e5a809b3596",  # sklyanin label
+    "ea04835f9d159e1eb4f3a5797ba1d114cbade410424b8390abc7c19f5f8c3d87",  # sklyanin ruling
+    "cc54f315b7ec3d776ed754db2b7d6d6385244181de07f460dc1089ef8cdaf63e",  # mf-verify
+]
+
+
 def test_readme_commands(capsys, monkeypatch):
     commands = readme_commands()
-    assert len(commands) == 15
+    assert len(commands) == len(README_OUTPUT_SHA256) == 15
     monkeypatch.chdir(ROOT)
-    for argv in commands:
+    for argv, want in zip(commands, README_OUTPUT_SHA256):
         assert main(argv[1:]) == 0, argv
-        capsys.readouterr()
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, argv
+
+
+def test_mf_verify_builds_one_table(capsys, monkeypatch):
+    # an expression --z needs no table of S; the check builds S's own through degree 2
+    degrees = []
+
+    def counted(p, max_degree):
+        degrees.append(max_degree)
+        return build_table(p, max_degree)
+    for module in (cli, cliff):
+        monkeypatch.setattr(module, "build_table", counted)
+    monkeypatch.chdir(ROOT)
+    argv = next(a for a in readme_commands() if a[1] == "mf-verify")
+    assert main(argv[1:]) == 0
+    assert degrees == [2]

@@ -10,8 +10,8 @@ from ncquad.cliff import (HypersurfaceData, HypothesisViolation,
                           InvariantComparison, clifford_algebra, clifford_from_dual,
                           clifford_with_scale, compare_invariants,
                           congruent_diagonal, dual_central_element,
-                          even_clifford_oracle, stable_degree,
-                          verify_matrix_factorization, word_vector_class)
+                          even_clifford_oracle, invariant_tuple, require_central,
+                          stable_degree, verify_matrix_factorization, word_vector_class)
 from ncquad.cli import resolve_z_spec
 from ncquad.exactlin import LaurentPoly, Matrix, RationalSeries, det, kernel_basis, qq
 from ncquad.families import (HYPERBOLIC_FORM, commutative_presentation,
@@ -132,7 +132,7 @@ def test_dual_central_element_hyperbolic(path, spec, w_want, det_want):
     p = QuadraticPresentation.load((ROOT / "presentations" / path).read_text())
     table = build_table(p, 3)
     # the pencil member omega1 + 1 * omega2 when two specs are given
-    lifts = [resolve_z_spec(s, p, table)[0] for s in spec]
+    lifts = [resolve_z_spec(s, p, table) for s in spec]
     h = HypersurfaceData(p, [sum(c) for c in zip(*lifts)])
     w, dual_a, _ = dual_central_element(h)
     assert len(w) == dual_a.dims[2] == 7
@@ -442,3 +442,41 @@ def test_invariant_comparison_serialization():
     d = compare_invariants(c, c).to_dict()
     assert d["equal"] is True
     assert set(d["left"]) == set(InvariantComparison.FIELDS)
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix with entries in [-2, 2] and determinant +-1."""
+    while True:
+        g = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if det(Matrix(n, n, g)) in (1, -1):
+            return g
+
+
+def _substitute(vec, g):
+    """A degree-2 word vector in x rewritten in y, x = g y: the map (g (x) g)^T."""
+    n = len(g)
+    return [sum(vec[i * n + j] * g[i][k] * g[j][l] for i in range(n) for j in range(n))
+            for k in range(n) for l in range(n)]
+
+
+def _verdict(S, lift):
+    require_central(build_table(S, 3), lift, "z")
+    alg = clifford_algebra(HypersurfaceData(S, lift))
+    return analyze(alg).to_dict(), invariant_tuple(alg)
+
+
+# a change of generators x = g y, g in GL4(Z), rewrites every relation and
+# z by (g (x) g)^T; the quadric is the same, and so is every verdict
+@pytest.mark.parametrize("family", ["sklyanin_a", "comm4"])
+def test_change_of_generators_keeps_the_verdict(family):
+    rng = random.Random("change-of-generators/%s" % family)
+    if family == "sklyanin_a":
+        cases = [_sklyanin_member(lam) for lam in ("1", "3", "-1/2", "5/9", "0", "-7/4")]
+    else:
+        cases = [(COMM, [c for row in _random_form(rng, 4, rank) for c in row])
+                 for rank in (1, 2, 3, 4)]
+    for S, lift in cases:
+        g = _unimodular(rng, 4)
+        moved = QuadraticPresentation(S.generator_names,
+                                      [_substitute(r, g) for r in S.relations])
+        assert _verdict(moved, _substitute(lift, g)) == _verdict(S, lift), g

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ncquad import skly
+from ncquad import findim, skly
 from ncquad.cli import resolve_z_spec
 from ncquad.cliff import (HypersurfaceData, clifford_algebra, clifford_with_scale,
                           even_clifford_oracle)
@@ -226,7 +226,7 @@ def test_radical_cross_check_runs_on_every_analysis():
 def _sklyanin_member(lam):
     S = QuadraticPresentation.load((ROOT / "presentations/sklyanin_a.json").read_text())
     table = build_table(S, 3)
-    w1, w2 = (resolve_z_spec(k, S, table)[0] for k in ("0", "1"))
+    w1, w2 = (resolve_z_spec(k, S, table) for k in ("0", "1"))
     return S, [a + qq(lam) * b for a, b in zip(w1, w2)]
 
 
@@ -251,3 +251,23 @@ def test_analysis_reads_only_the_integer_table(monkeypatch):
     assert alg.structure == [[alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
                               for j in range(n)] for i in range(n)]
     assert alg.multiply(alg.unit, alg.unit) == alg.unit
+
+
+# The cross-check's three failures, each reached by a trace-form kernel
+# that is wrong in one way: a line that is not an ideal, the whole
+# algebra (not nilpotent), and the zero subspace where the radical is
+# not zero, so the quotient is the algebra and its Gram matrix, the one
+# the kernel was taken of, is singular.
+@pytest.mark.parametrize("algebra, kernel, message", [
+    (upper_triangular_2x2, lambda: Matrix(3, 1, [[1], [0], [0]]), "not a two-sided ideal"),
+    (upper_triangular_2x2, lambda: Matrix.identity(3), "not nilpotent"),
+    (lambda: clifford_algebra(HypersurfaceData(commutative_presentation(),
+                                               word_vector(4, {(0, 0): 1, (1, 1): 1,
+                                                               (2, 2): 1}))),
+     lambda: Matrix.zero(8, 0), "quotient trace form degenerate"),
+], ids=["not-an-ideal", "not-nilpotent", "degenerate-quotient"])
+def test_radical_cross_check_failures(monkeypatch, algebra, kernel, message):
+    alg = algebra()
+    monkeypatch.setattr(findim, "kernel_basis", lambda m: kernel())
+    with pytest.raises(RuntimeError, match="radical cross-check failed: .*" + message):
+        radical(alg)
