@@ -19,8 +19,7 @@ from .exactlin import qq, qq_str
 from .findim import analyze
 from .qalg import (QuadraticPresentation, build_table, central_quadratic_space,
                    element_word_lift, hilbert, koszul_dual)
-from .skly import (Curve, PencilError, SecantLine, min_samples,
-                   pencil_discriminant)
+from .skly import Curve, PencilError, SecantLine, fat_point_h0, pencil_discriminant
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|[()+*-])")
 
@@ -252,10 +251,6 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
-    need = min_samples(args.degree_bound)
-    if args.samples < need:
-        raise SpecError("--samples must be at least %d at degree bound %d, got %d"
-                        % (need, args.degree_bound, args.samples))
     p = _load_presentation(args.file)
     table = build_table(p, 3)
     lift1 = resolve_z_spec(args.omega1, p, table)
@@ -303,22 +298,22 @@ def _cmd_k0(args) -> int:
         return 0
     # fat I
     f = kzero.fat_class(args.index)
+    h0 = fat_point_h0(args.index)
     payload = {"index": args.index, "class": f.to_json(),
                "euler_self": kzero.euler(f, f),
                "self_intersection": kzero.intersect(f, f),
-               "h0": args.index + 1}
+               "h0": h0}
     _emit(args, payload, [
         "class: %s" % f,
         "euler(F, F): %d" % kzero.euler(f, f),
         "self-intersection: %d" % kzero.intersect(f, f),
-        "h0: %d" % (args.index + 1),
+        "h0: %d" % h0,
     ])
     return 0
 
 
 def _cmd_sklyanin(args) -> int:
-    e1, e2 = (qq(v) for v in args.curve.split(","))
-    curve = Curve(e1, e2, tau=_parse_point(args.tau))
+    curve = Curve(*_parse_point(args.curve), tau=_parse_point(args.tau))
     if args.action == "singular":
         labels = curve.singular_labels()
         payload = {"labels": [str(l.rep) for l in labels],

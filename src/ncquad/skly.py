@@ -33,13 +33,14 @@ skips see what a scan with no helper sees: a HypothesisViolation is
 skipped, any other exception is re-raised at its sample's position only
 if the scan gets that far, and the outcome of the member at infinity is
 read after the loop.  Elsewhere, or if the fork fails, the queue keeps
-no process and the caller builds each job as it takes it; if the helper
-dies owing the outcome the scan needs, RuntimeError names that sample;
-if it sends nothing for a second while the caller waits (it is stopped,
-or starved of CPU), the caller kills it and builds the rest itself.  The
-helper is killed (SIGKILL) once the scan has read the member at
-infinity, or in pencil_discriminant's finally clause, which also reaps
-it.
+no process and the caller builds each job as it takes it.  A helper is
+lost in one way, whatever the cause: when its answer pipe ends, its job
+pipe breaks, or it sends nothing for a second while the caller waits (it
+died, or is stopped or starved of CPU), the caller kills and reaps it and
+builds every job it owed itself, so the report is still that of a scan
+with no helper.  Otherwise the helper is killed (SIGKILL) once the scan
+has read the member at infinity, or in pencil_discriminant's finally
+clause, which also reaps it.
 """
 
 from __future__ import annotations
@@ -498,23 +499,24 @@ class _Helper:
     assigned once, to the helper or to this process, in increasing order
     and only among those left; the helper's first sample job is therefore
     the second sample.  Where a fork cannot pay, is unsafe or fails (see
-    the module docstring), no process is kept and every job is built here,
-    as are the outcomes of a helper given up.  The child reads jobs,
-    4-byte signed integers, until the job pipe closes, and answers each
-    with a length-prefixed pickle of (job, outcome), the outcome being
-    work's value or the exception it raised.  It ends only through
+    the module docstring), no process is kept and every job is built here.
+    A helper whose answer pipe ends, whose job pipe breaks, or that is
+    silent for _PATIENCE_MS while awaited is lost: close() reaps it and
+    clears owed, and the jobs it owed are built here.  The child reads
+    jobs, 4-byte signed integers, until the job pipe closes, and answers
+    each with a length-prefixed pickle of (job, outcome), the outcome
+    being work's value or the exception it raised.  It ends only through
     os._exit, running no atexit handler and flushing no buffer of the
     caller's.
     """
 
-    def __init__(self, work, samples: list):
-        self.work, self.samples = work, samples
+    def __init__(self, work, count: int):
+        self.work, self.count = work, count   # count: samples in the scan
         self.pid = None          # the helper's, while it is kept
         self.buffer = bytearray()
         self.owed = set()        # jobs sent and not answered
         self.held = {}           # outcomes in hand, by job
         self.next = 0            # the lowest unassigned sample
-        self.dead = False        # the helper ended on its own
         self.left = 0            # samples worth building, from the one taken on
         if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() != 1:
             return
@@ -555,19 +557,14 @@ class _Helper:
             self._top_up(job)
             if job in self.held:
                 break
-            if job not in self.owed:         # built here, or left by a helper given up
+            if job not in self.owed:         # built here, or owed by a helper lost
                 self.held[job] = self._build(job)
-            elif self.dead:
-                raise RuntimeError("the helper process ended before %s" % (
-                    "the member at infinity" if job == _AT_INFINITY
-                    else "sample %s" % qq_str(self.samples[job])))
             elif self.next <= self._last(job):
                 self.next += 1
                 self.held[self.next - 1] = self._build(self.next - 1)
                 self._receive(0)
             elif not self._receive(_PATIENCE_MS):
-                self.close()                 # stopped or starved: its jobs fall to this process
-                self.owed.clear()
+                self.close()                 # silent: its jobs fall to this process
         outcome = self.held.pop(job)
         if isinstance(outcome, Exception):
             raise outcome
@@ -575,11 +572,10 @@ class _Helper:
 
     def _last(self, job) -> int:
         """The last sample that may be assigned while job is awaited."""
-        return -1 if job == _AT_INFINITY else min(job + self.left, len(self.samples)) - 1
+        return -1 if job == _AT_INFINITY else min(job + self.left, self.count) - 1
 
     def _top_up(self, job):
-        while (self.pid is not None and not self.dead and len(self.owed) < _AHEAD
-               and self.next <= self._last(job)):
+        while self.pid is not None and len(self.owed) < _AHEAD and self.next <= self._last(job):
             self.next += 1
             self._send(self.next - 1)
 
@@ -588,7 +584,7 @@ class _Helper:
         try:
             os.write(self.jobs, job.to_bytes(4, "little", signed=True))
         except BrokenPipeError:
-            self.dead = True
+            self.close()
 
     def _build(self, job):
         try:
@@ -598,11 +594,11 @@ class _Helper:
 
     def _receive(self, timeout_ms: int) -> bool:
         """Take in what the helper sends within timeout_ms; False if nothing came."""
-        if self.pid is None or self.dead or not self.poller.poll(timeout_ms):
+        if self.pid is None or not self.poller.poll(timeout_ms):
             return False
         chunk = os.read(self.answers, 1 << 16)
-        if not chunk:
-            self.dead = True
+        if not chunk:                        # the helper ended
+            self.close()
             return True
         self.buffer += chunk
         while len(self.buffer) >= 8:
@@ -622,13 +618,14 @@ class _Helper:
             os.kill(self.pid, SIGKILL)
 
     def close(self):
-        """Kill and reap the helper, and close its pipes."""
+        """Kill and reap the helper, close its pipes, and forget the jobs it owed."""
         if self.pid is not None:
             self.kill()
             os.waitpid(self.pid, 0)
             os.close(self.jobs)
             os.close(self.answers)
             self.pid = None
+        self.owed.clear()
 
 
 def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
@@ -645,10 +642,10 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     process shares the work (see the module docstring), a member may be
     built a few samples ahead, but its outcome is acted on only when the
     scan reaches it, and the member at infinity is read after the loop,
-    so the report and every error are those of a scan with no helper.
-    Each member's lift omega1 + t*omega2 is built only with the member,
-    by the process that builds it, so an error in it is that member's
-    error.
+    so the report and every error are those of a scan with no helper,
+    also when the helper is lost.  Each member's lift omega1 + t*omega2
+    is built only with the member, by the process that builds it, so an
+    error in it is that member's error.
 
     The basis pattern can make the values rational rather than
     polynomial in t (their denominator tracks pattern changes outside
@@ -700,22 +697,31 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     (its rational roots found by _rational_roots), each with a member
     that could be built.
 
-    PencilError is raised when the values vanish identically, when a
-    fit ratio v / v0 is negative or not a rational square (naming the
-    sample), when the fit misses a fit point or its square exceeds
+    ValueError is raised, before any member is built, for a bad
+    argument: when degree_bound is not a nonnegative integer; when the
+    samples repeat a value as rationals (a fit through it would be
+    underdetermined) or are fewer than min_samples(d); when table does
+    not reach degree 3 or is a table of another algebra; and when the
+    classes of omega1 and omega2 are dependent, so that every member is
+    the same quadric.  HypothesisViolation is raised, also before any
+    member, when omega1 or omega2 is not central.  PencilError is raised
+    only for an outcome of the scan, once members have been read: when no
+    sample admits the construction, when the values vanish identically,
+    when a fit ratio v / v0 is negative or not a rational square (naming
+    the sample), when the fit misses a fit point or its square exceeds
     degree d, when a later sample disagrees with it (naming the sample)
     and when the main pattern ends with fewer than min_samples(d)
-    samples.  ValueError is raised, before any member is built, when the
-    classes of omega1 and omega2 are dependent: every member is then the
-    same quadric, when degree_bound is not a nonnegative integer, and when
-    table does not reach degree 3 or is a table of another algebra.  A
-    repeated value would leave the fit underdetermined, so the samples
-    must be distinct as rationals.  mode is "polynomial" when the reduced
-    denominator is 1, else "rational".
+    samples.  mode is "polynomial" when the reduced denominator is 1,
+    else "rational".
     """
     need = min_samples(degree_bound)
     samples = [qq(lam) for lam in samples]
     d = degree_bound
+    if len(set(samples)) != len(samples):
+        raise ValueError("sample values must be distinct rationals")
+    if len(samples) < need:
+        raise ValueError("need at least %d samples at degree bound %d, have %d"
+                         % (need, d, len(samples)))
     omega1_lift = [qq(c) for c in omega1_lift]
     omega2_lift = [qq(c) for c in omega2_lift]
     if table is None:
@@ -724,11 +730,6 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
         raise ValueError("the table is not a table of this presentation")
     c1 = require_central(table, omega1_lift, "omega1")
     c2 = require_central(table, omega2_lift, "omega2")
-    if len(set(samples)) != len(samples):
-        raise PencilError("sample values must be distinct rationals")
-    if len(samples) < need:
-        raise PencilError("need at least %d samples at degree bound %d, have %d"
-                          % (need, d, len(samples)))
     span = SpanBuilder(len(c1))
     if not (span.add(c1) and span.add(c2)):
         raise ValueError("omega1 and omega2 have dependent classes: every member is one quadric")
@@ -756,7 +757,7 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     def member(job):
         return singular(omega2_lift) if job == _AT_INFINITY else _scan_sample(
             S, lift_at(samples[job]))
-    helper = _Helper(member, samples)
+    helper = _Helper(member, len(samples))
     try:
         for i, lam in enumerate(samples):
             # samples worth building: up to the stop, or _AHEAD past its earliest

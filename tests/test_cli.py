@@ -151,6 +151,16 @@ def test_pencil_bad_flags_exit_code(flags):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("omega2", ["1", "x0*x0"], ids=["central", "not-central"])
+def test_pencil_sample_count_is_checked_by_the_scan(capsys, omega2):
+    # the scan refuses too few samples before it checks omega1 and omega2
+    # for centrality, so x0*x0, not central in sklyanin_a, also exits 2
+    code = main(["pencil", SKLY_FILE, "--omega1", "0", "--omega2", omega2, "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: need at least 21 samples at degree bound 16, have 5\n")
+
+
 @pytest.mark.parametrize("file, omega1, omega2", [
     (SKLY_FILE, "0", "0"),
     (COMM_FILE, "x0*x3-x1*x2", "2*x0*x3-2*x1*x2"),
@@ -168,6 +178,8 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     code, _ = run(capsys, "sklyanin", "--curve", "1/0,2", "--tau", "-4,6", "singular")
     assert code == 2
+    code = main(["sklyanin", "--curve", "5", "--tau", "-4,6", "singular"])
+    assert (code, capsys.readouterr().err) == (2, "error: expected 'x,y', got '5'\n")
     code, _ = run(capsys, "hilbert", "no-such-file.json")
     assert code == 2
 

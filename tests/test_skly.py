@@ -250,7 +250,7 @@ def test_pencil_needs_enough_samples():
     comm = commutative_presentation()
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
     q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
-    with pytest.raises(PencilError):
+    with pytest.raises(ValueError, match="^need at least 13 samples at degree bound 8, have 4$"):
         pencil_discriminant(comm, q1, q2, list(range(4)), 8)
 
 
@@ -261,19 +261,20 @@ def test_pencil_short_sample_list_builds_no_member(monkeypatch):
     comm = commutative_presentation()
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
     q2 = word_vector(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
-    with pytest.raises(PencilError):
+    with pytest.raises(ValueError, match="^need at least 21 samples at degree bound 16, have 10$"):
         pencil_discriminant(comm, q1, q2, list(range(10)), 16)
 
 
 def test_pencil_refuses_one_below_min_samples(monkeypatch):
     # the fit of the square root has degrees up to (h, h), h = ceil(d / 2):
-    # at d = 3 the scan refuses 8 < 2h + 5 = 9 before building a member
+    # at d = 3 the scan refuses 8 < 2h + 5 = 9 before building a member,
+    # and before it looks at omega1 and omega2, here dependent
     def no_member(*args):
         raise AssertionError("a member was built")
     monkeypatch.setattr(skly, "_scan_sample", no_member)
     comm = commutative_presentation()
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
-    with pytest.raises(PencilError):
+    with pytest.raises(ValueError, match="^need at least 9 samples at degree bound 3, have 8$"):
         pencil_discriminant(comm, q1, q1, list(range(8)), 3)
 
 
@@ -303,9 +304,9 @@ def test_pencil_rejects_repeated_samples(monkeypatch):
     comm = commutative_presentation()
     q1 = word_vector(4, {(0, 3): 1, (1, 2): -1})
     q2 = word_vector(4, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (3, 3): 5})
-    with pytest.raises(PencilError):
+    with pytest.raises(ValueError, match="^sample values must be distinct rationals$"):
         pencil_discriminant(comm, q1, q2, list(range(1, 7)) * 3, 4)
-    with pytest.raises(PencilError):
+    with pytest.raises(ValueError, match="^sample values must be distinct rationals$"):
         pencil_discriminant(comm, q1, q2, list(range(13)) + ["12/1"], 4)
 
 
@@ -498,7 +499,7 @@ def test_bad_degree_bound_is_refused_before_any_member(monkeypatch, bound):
     monkeypatch.setattr(os, "fork", _no_fork)
     with pytest.raises(ValueError, match="^degree bound must be a nonnegative integer"):
         pencil_discriminant(*_comm_pencil(), list(range(42)), bound)
-    # the CLI's --samples check reads the bound through min_samples first
+    # min_samples, which sets the scan's sample count, refuses it itself
     with pytest.raises(ValueError, match="^degree bound must be a nonnegative integer"):
         skly.min_samples(bound)
 
@@ -784,12 +785,55 @@ def test_no_helper_outlives_a_failed_scan(monkeypatch, helper_forks):
     _no_child_left()
 
 
-def test_helper_that_dies_names_the_sample(monkeypatch, helper_forks):
-    # the helper exits at its first sample job, t = 1, without an outcome
-    _in_helper_only(monkeypatch, lambda lam: os._exit(0), 1)
-    with pytest.raises(RuntimeError, match="before sample 1$"):
-        pencil_discriminant(*_comm_pencil(), list(range(24)), 8)
-    assert helper_forks
+def _within_a_minute(scan):
+    """scan(), or TimeoutError if it runs for a minute (waiting on a lost helper)."""
+    def hung(signum, frame):
+        raise TimeoutError("the scan ran for a minute")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        return scan()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _kill_after_first_answer(monkeypatch):
+    """Make the caller SIGKILL the helper once an answer of it is in; the pids killed."""
+    killed = []
+    receive = skly._Helper._receive
+
+    def receive_then_kill(self, timeout_ms):
+        owed = set(self.owed)
+        came = receive(self, timeout_ms)
+        if self.pid is not None and owed - self.owed and not killed:
+            killed.append(self.pid)
+            os.kill(self.pid, signal.SIGKILL)
+        return came
+    monkeypatch.setattr(skly._Helper, "_receive", receive_then_kill)
+    return killed
+
+
+@pytest.mark.parametrize("loss", ["exits", "killed"])
+def test_lost_helper_leaves_the_report_unchanged(monkeypatch, helper_forks, loss):
+    # the helper exits at its first sample job, t = 1, without an outcome,
+    # or is killed once its first answer, the member at infinity, is in;
+    # either way the caller reaps it and builds the jobs it owed
+    samples = list(range(24))
+    with monkeypatch.context() as m:
+        m.setattr(skly, "_usable_cpus", lambda: 1)
+        _patched_scan(m, samples, _degree_eight_values(samples))
+        alone = pencil_discriminant(*_comm_pencil(), samples, 8)
+    if loss == "exits":
+        _in_helper_only(monkeypatch, lambda lam: os._exit(0), 1)
+    else:
+        _patched_scan(monkeypatch, samples, _degree_eight_values(samples))
+        killed = _kill_after_first_answer(monkeypatch)
+    report = _within_a_minute(lambda: pencil_discriminant(*_comm_pencil(), samples, 8))
+    assert report.to_dict() == alone.to_dict()
+    assert len(helper_forks) == 1
+    if loss == "killed":
+        assert killed == helper_forks
     _no_child_left()
 
 
@@ -813,15 +857,7 @@ def test_stopped_helper_is_given_up(monkeypatch):
     monkeypatch.setattr(os, "fork", stopped)
     built = _patched_scan(monkeypatch, samples, values)
 
-    def hung(signum, frame):
-        raise TimeoutError("the scan waited a minute for a stopped helper")
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        report = pencil_discriminant(*_comm_pencil(), samples, 8)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    report = _within_a_minute(lambda: pencil_discriminant(*_comm_pencil(), samples, 8))
     assert report.to_dict() == alone.to_dict()
     assert len(pids) == 1
     used = len(report.sample_values) + len(report.skipped)
@@ -906,8 +942,8 @@ def test_helper_runs_no_atexit_handler_and_flushes_nothing():
     # stdout is a pipe, so "head" sits in its buffer when the helper forks;
     # a helper that exited normally would flush it and run the handler again.
     # The helper's first sample job, t = 2, returns what pickle refuses, so
-    # the helper ends on its own, through its finally clause, and the scan
-    # reports that it ended before that sample
+    # the helper ends on its own, through its finally clause; the caller
+    # builds the jobs it owed and prints the scan's count
     script = "\n".join([
         "import atexit, os",
         "from ncquad import skly",
@@ -922,14 +958,12 @@ def test_helper_runs_no_atexit_handler_and_flushes_nothing():
         "print('head')",
         "H = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]",
         "Q = [[3, -2, 1, -2], [-2, 3, -2, -1], [1, -2, -1, -2], [-2, -1, -2, -3]]",
-        "try:",
-        "    skly.pencil_discriminant(commutative_presentation(),",
-        "        symmetric_form_to_element(H), symmetric_form_to_element(Q), range(1, 22), 16)",
-        "except RuntimeError as exc:",
-        "    print(exc)",
+        "print(skly.pencil_discriminant(commutative_presentation(),",
+        "    symmetric_form_to_element(H), symmetric_form_to_element(Q), range(1, 22), 16)",
+        "    .distinct_root_count)",
     ])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skly.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "head\nthe helper process ended before sample 2\natexit\n"
+    assert proc.stdout == "head\n4\natexit\n"
