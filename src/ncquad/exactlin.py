@@ -13,6 +13,8 @@ downstream is reproducible whatever order the rows arrive in.
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import index
@@ -25,11 +27,16 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 QQ = _mpq
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def qq(value, den=None):
     """Coerce ints, 'p/q' strings, or rationals to an exact rational.
 
-    A value that is already a QQ is returned unchanged, as the same
-    object.  Anything else, floats and bools included, raises ValueError.
+    A string is ASCII digits with an optional sign, 'p' or 'p/q', between
+    optional whitespace.  A value that is already a QQ is returned
+    unchanged, as the same object.  Anything else, floats and bools
+    included, raises ValueError.
     """
     if den is not None:
         return _mpq(value, den)
@@ -37,13 +44,15 @@ def qq(value, den=None):
         return value
     if isinstance(value, str):
         value = value.strip()
-        if "/" in value:
-            p, q = value.split("/")
-            q = int(q)
-            if not q:
-                raise ValueError("zero denominator in %r" % value)
-            return _mpq(int(p), q)
-        return _mpq(int(value))
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError("%r is not an exact rational 'p' or 'p/q'" % value)
+        p, q = match.groups()
+        if q is None:
+            return _mpq(int(p))
+        if not int(q):
+            raise ValueError("zero denominator in %r" % value)
+        return _mpq(int(p), int(q))
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError("%r is not an exact rational" % (value,))
     return _mpq(value)
@@ -224,7 +233,13 @@ class SpanBuilder:
     incoming row is cleared at every pivot column it hits.  A row that
     reduces to zero lies in the span; otherwise its leftmost entry
     becomes a new pivot, and each held row that meets it is cleared at
-    that column alone.  Each reduced row's content is removed once.
+    that column alone.  Those rows are found through a column index,
+    ``_at``, which lists for each non-pivot column the pivots of held
+    rows that may meet it: a superset, so no row that meets the column
+    is missed, while rows that no longer meet it (after a cancellation)
+    or appear twice are skipped when the list is read.  A row is indexed
+    at its columns when it is stored, and at each column it fills in
+    while it is reduced.  Each reduced row's content is removed once.
     Every held row (``pivot_rows``, by pivot) is kept primitive
     with a positive pivot entry, a multiple of a row of a partial RREF,
     so entry sizes stay bounded.  A rational vector enters through
@@ -236,15 +251,18 @@ class SpanBuilder:
     def __init__(self, dim: int):
         self.dim = dim
         self.pivot_rows: dict[int, dict] = {}  # read only outside this class
+        # non-pivot column -> pivots of held rows that may meet it
+        self._at: dict[int, list] = defaultdict(list)
 
-    def _reduce(self, row: dict, cols: list) -> dict:
+    def _reduce(self, row: dict, cols: list, k: int | None = None) -> dict:
         """A positive multiple of row minus multiples of the pivot rows at
         cols, zero at every column in cols; its content is left for the caller.
 
         Pivot rows are zero at every other pivot column, so clearing one
-        column of cols changes row at no other pivot column.
+        column of cols changes row at no other pivot column.  When row is
+        the held row of pivot k, each column it fills in is indexed to k.
         """
-        held = self.pivot_rows
+        held, at = self.pivot_rows, self._at
         for c in cols:
             piv = held[c]
             p, f = piv[c], row[c]
@@ -253,8 +271,12 @@ class SpanBuilder:
             if a != 1:
                 row = {j: a * x for j, x in row.items()}
             for j, x in piv.items():
-                v = row.get(j, 0) - b * x
-                if v:
+                v = row.get(j)
+                if v is None:
+                    row[j] = -b * x
+                    if k is not None:
+                        at[j].append(k)
+                elif v := v - b * x:
                     row[j] = v
                 else:
                     del row[j]
@@ -273,12 +295,17 @@ class SpanBuilder:
         if g != 1:
             row = {j: x // g for j, x in row.items()}
         held[c] = row
-        # back-substitution; row's pivot entry is positive, so each held
-        # row keeps the sign of its own (k != c is tested second, as few
-        # held rows meet c)
-        for k, other in held.items():
-            if c in other and k != c:
-                other = self._reduce(other, (c,))
+        at = self._at
+        for j in row:
+            if j != c:
+                at[j].append(c)
+        # back-substitution over the indexed rows, skipping those that no
+        # longer meet c; row's pivot entry is positive, so each held row
+        # keeps the sign of its own
+        for k in at.pop(c, ()):
+            other = held[k]
+            if c in other:
+                other = self._reduce(other, (c,), k)
                 g = gcd(*other.values())
                 held[k] = other if g == 1 else {j: x // g for j, x in other.items()}
         return True

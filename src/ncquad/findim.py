@@ -315,11 +315,14 @@ def analyze(alg: FinDimAlgebra) -> AnalysisReport:
     surface, n = 4) with no one-dimensional representations: every
     geometric simple block is then a 2x2 matrix block over the closure
     and contributes exactly one central line.  It is None otherwise.
+    One-dimensional representations are decided on the semisimple
+    quotient: each kills the radical, so rad + [A, A]-ideal = A exactly
+    when the quotient's commutator ideal is the whole quotient.
     """
     rad, quo = _cross_verify_radical(alg)
     center_dim = center_basis(alg).cols
     ss_center_dim = center_dim if quo is alg else center_basis(quo).cols
-    absent = one_dim_reps_absent(alg, rad)
+    absent = commutator_ideal(quo).rank == quo.dim
     ruling = None
     if alg.dim == 8 and absent and ss_center_dim in (1, 2):
         ruling = ss_center_dim

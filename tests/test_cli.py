@@ -203,6 +203,15 @@ BAD_PRESENTATIONS = {
 }
 
 
+def test_inexact_presentation_coefficient_message(tmp_path, capsys):
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relations": [[{"coef": "1.5", "word": ["x", "y"]}]]}))
+    code = main(["hilbert", str(path), "--degree", "3"])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: '1.5' is not an exact rational 'p' or 'p/q'\n")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
 def test_malformed_presentation_exit_code(tmp_path, case):
     path = tmp_path / (case + ".json")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -241,3 +242,15 @@ def test_qq_keeps_exact_values_and_rejects_inexact_ones():
     for bad in (0.5, 1.0, True, False, "1/0", None):
         with pytest.raises(ValueError):
             qq(bad)
+
+
+def test_qq_reads_signed_ascii_integers_and_their_quotients():
+    for text, want in (("3", 3), ("-3", -3), ("+3", 3), ("007", 7), (" 3/6 ", Fraction(1, 2)),
+                       ("-4/2", -2), ("3/-6", Fraction(-1, 2)), ("+1/+3", Fraction(1, 3))):
+        assert qq(text) == want, text
+    for bad in ("1.5", "1/2/3", "1_0", "\u0663", "", "1/", "/2", "--1", "1 / 2", "0x10"):
+        message = "%r is not an exact rational 'p' or 'p/q'" % bad.strip()
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            qq(bad)
+    with pytest.raises(ValueError, match="^zero denominator in '1/-0'$"):
+        qq("1/-0")

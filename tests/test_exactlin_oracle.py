@@ -259,3 +259,85 @@ def test_one_pass_reduction_matches_the_per_pivot_loop(case):
         else:
             assert span.contains([row.get(j, 0) for j in range(dim)]) == ref.contains(row)
         assert span.pivot_rows == ref.pivot_rows
+
+
+class ScanSpan(SpanBuilder):
+    """Reference: SpanBuilder with the back-substitution it had before the
+    column index, which scans every held row for the new pivot column."""
+
+    def add_row(self, row):
+        held = self.pivot_rows
+        row = self._reduce(row, [c for c in row if c in held])
+        if not row:
+            return False
+        c = min(row)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        held[c] = row
+        for k, other in held.items():
+            if c in other and k != c:
+                other = self._reduce(other, (c,))
+                g = gcd(*other.values())
+                held[k] = other if g == 1 else {j: x // g for j, x in other.items()}
+        return True
+
+
+def assert_index_covers_held_rows(span):
+    """Each held row k is listed at every column of it but its pivot."""
+    for k, row in span.pivot_rows.items():
+        for j in row:
+            assert j == k or k in span._at.get(j, ()), (k, j)
+
+
+SMALL = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def sparse_row_sequences(draw):
+    """(dim, rows): sparse rows of small integers, with repeats and dependent rows,
+    so that held rows lose columns by cancellation and fill them in again."""
+    dim = draw(st.integers(2, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        how = draw(st.integers(0, 4)) if rows else 0
+        if how <= 1:
+            row = {j: draw(SMALL) for j in draw(st.sets(st.integers(0, dim - 1),
+                                                        min_size=1, max_size=5))}
+        elif how == 2:  # a repeat, negated or scaled
+            row = {j: draw(st.sampled_from([1, -1, 2, -3])) * x
+                   for j, x in draw(st.sampled_from(rows)).items()}
+        else:  # a small combination of two earlier rows, often cancelling
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(SMALL), draw(SMALL)
+            row = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in set(a) | set(b)}
+            row = {j: x for j, x in row.items() if x}
+        rows.append(row)
+    return dim, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_row_sequences())
+def test_indexed_back_substitution_matches_the_scan(case):
+    dim, rows = case
+    span, ref = SpanBuilder(dim), ScanSpan(dim)
+    for row in rows:
+        assert span.add_row(dict(row)) == ref.add_row(dict(row))
+        assert span.pivot_rows == ref.pivot_rows
+        assert_index_covers_held_rows(span)
+
+
+def test_index_keeps_stale_and_repeated_entries():
+    # row 0 loses column 3 to pivot 1's row, then fills it in again from
+    # pivot 2's row: column 3 lists 0 twice, once while 0 does not meet it
+    span, ref = SpanBuilder(4), ScanSpan(4)
+    for row in ({0: 1, 1: 1, 2: 1, 3: 1}, {1: 1, 3: 1}, {2: 1, 3: -1}):
+        assert span.add_row(dict(row)) and ref.add_row(dict(row))
+    assert span.pivot_rows == ref.pivot_rows == {0: {0: 1, 3: 1}, 1: {1: 1, 3: 1},
+                                                 2: {2: 1, 3: -1}}
+    assert span._at[3] == [0, 1, 2, 0]
+    assert span.add_row({3: 2}) and ref.add_row({3: 2})
+    assert span.pivot_rows == ref.pivot_rows == {c: {c: 1} for c in range(4)}
+    assert 3 not in span._at

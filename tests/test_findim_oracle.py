@@ -23,9 +23,10 @@ from hypothesis import strategies as st  # noqa: E402
 from ncquad.cliff import HypersurfaceData, clifford_algebra, even_clifford_oracle  # noqa: E402
 from ncquad.exactlin import (Matrix, SpanBuilder, inverse, kernel_basis, qq,  # noqa: E402
                              to_column)
-from ncquad.families import commutative_presentation, word_vector  # noqa: E402
+from ncquad.families import (commutative_presentation,  # noqa: E402
+                             symmetric_form_to_element, word_vector)
 from ncquad.findim import (FinDimAlgebra, analyze, center_basis, commutator_ideal,  # noqa: E402
-                           radical, trace_gram)
+                           one_dim_reps_absent, radical, trace_gram)
 from ncquad.qalg import (QuadraticPresentation, build_table,  # noqa: E402
                          central_quadratic_space, element_word_lift)
 
@@ -230,6 +231,19 @@ def test_analysis_matches_fraction_reference_on_degenerate_forms(case, x, y):
     assert_matches_reference(dense_algebra(labels, structure, [1] + [0] * 7), x, y)
 
 
+def analyze_against_the_oracle(alg):
+    """analyze, checked against one_dim_reps_absent, which closes the
+    radical plus the commutator ideal in the whole algebra, where analyze
+    reads the commutator ideal of the semisimple quotient alone."""
+    report = analyze(alg)
+    absent = one_dim_reps_absent(alg)
+    ss = report.ss_center_dim
+    ruling = ss if alg.dim == 8 and absent and ss in (1, 2) else "n/a"
+    assert report.to_dict() == dict(report.to_dict(), one_dim_reps_absent=absent,
+                                    ruling_count=ruling)
+    return report
+
+
 def _skew_patterns(n):
     """All sign patterns of the generator pairs for n <= 4, else a seeded sample."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -255,7 +269,7 @@ def _check_skew_centers(n):
              for i in range(n)]
         want = sum(1 for s in itertools.product((0, 1), repeat=n) if sum(s) % 2 == 0
                    and len({sum(r * t for r, t in zip(row, s)) % 2 for row in b}) == 1)
-        report = analyze(clifford_algebra(HypersurfaceData(S, z)))
+        report = analyze_against_the_oracle(clifford_algebra(HypersurfaceData(S, z)))
         assert (report.dim, report.radical_dim, report.center_dim) == (2 ** (n - 1), 0, want), signs
         key = (report.smooth, report.center_dim, report.to_dict()["ruling_count"])
         split[key] = split.get(key, 0) + 1
@@ -291,6 +305,40 @@ def sklyanin_member_algebra(lam):
     centre = central_quadratic_space(t)
     w1, w2 = (element_word_lift(t, centre.column(k), 2) for k in (0, 1))
     return clifford_algebra(HypersurfaceData(S, [a + qq(lam) * b for a, b in zip(w1, w2)]))
+
+
+def dense_form(rank):
+    """M^T diag(1, -2, 3, 5)[:rank] M for an integer M of determinant 1: every entry nonzero."""
+    m = [[1, 2, -1, 0], [3, 7, -2, 1], [0, 1, 1, -2], [2, 4, -1, 1]]
+    d = [1, -2, 3, 5][:rank]
+    return [[sum(d[k] * m[k][i] * m[k][j] for k in range(rank)) for j in range(4)]
+            for i in range(4)]
+
+
+ONE_DIM_CASES = {
+    **{"comm4:diagonal:%d" % r: (lambda r=r: clifford_algebra(HypersurfaceData(
+        COMM, word_vector(4, {(i, i): 1 for i in range(r)})))) for r in range(1, 5)},
+    **{"comm4:dense:%d" % r: (lambda r=r: clifford_algebra(HypersurfaceData(
+        COMM, symmetric_form_to_element(dense_form(r))))) for r in range(1, 5)},
+    "comm4:hyperbolic": lambda: clifford_algebra(HypersurfaceData(COMM, HYPERBOLIC)),
+    **{"sklyanin_a:%s" % lam: (lambda lam=lam: sklyanin_member_algebra(lam))
+       for lam in ("1", "5", "-1/3", "-5/3")},
+}
+
+
+# (radical_dim, center_dim, ss_center_dim, one_dim_reps_absent, ruling_count)
+# by the rank of the form; every singular sklyanin_a member reads like rank 3
+ONE_DIM_REPORTS = {4: (0, 2, 2, True, 2), 3: (4, 2, 1, True, 1), 2: (6, 3, 2, False, "n/a"),
+                   1: (7, 5, 1, False, "n/a")}
+
+
+@pytest.mark.parametrize("name", list(ONE_DIM_CASES))
+def test_one_dim_reps_on_the_quotient_match_the_whole_algebra(name):
+    report = analyze_against_the_oracle(ONE_DIM_CASES[name]()).to_dict()
+    rank = int(name[-1]) if name.startswith("comm4:d") else 4 if name.startswith("comm4") else 3
+    assert tuple(report[k] for k in ("radical_dim", "center_dim", "ss_center_dim",
+                                     "one_dim_reps_absent", "ruling_count")) == \
+        ONE_DIM_REPORTS[rank]
 
 
 VALID_ALGEBRAS = {

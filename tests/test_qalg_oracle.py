@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import ncquad.qalg as qalg
+
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings  # noqa: E402
@@ -23,6 +25,7 @@ from ncquad.families import (commutative_presentation,  # noqa: E402
 from ncquad.qalg import (QuadraticPresentation, build_table,  # noqa: E402
                          central_quadratic_space, element_word_lift, koszul_dual,
                          noncentral_generator)
+from test_exactlin_oracle import ScanSpan  # noqa: E402
 
 
 def mat_vec(m, vec):
@@ -310,3 +313,23 @@ def test_left_map_centrality_check_matches_the_right_maps(name, data):
                                min_size=len(basis), max_size=len(basis)))
     z = [sum((c * v[r] for c, v in zip(coefs, basis)), qq(0)) for r in range(table.dims[2])]
     assert noncentral_generator(table, z) == right_map_noncentral(table, z)
+
+
+SCAN_TABLES = {
+    "comm4:9": lambda: (COMM, 9),
+    "comm4_gl:7": lambda: (gl_changed_comm4(), 7),
+    "sklyanin_a:6": lambda: (SKLYANIN, 6),
+    "member:1": lambda: (koszul_dual(sklyanin_member("1")), 8),
+    "member:3": lambda: (koszul_dual(sklyanin_member("3")), 8),
+    "member:5/9": lambda: (koszul_dual(sklyanin_member("5/9")), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_TABLES))
+def test_indexed_back_substitution_gives_the_scanned_table(name, monkeypatch):
+    p, degree = SCAN_TABLES[name]()
+    table = build_table(p, degree)
+    monkeypatch.setattr(qalg, "SpanBuilder", ScanSpan)
+    scanned = build_table(p, degree)
+    assert (table.left_cols, table.dims, table.shapes, table.period_start) == \
+        (scanned.left_cols, scanned.dims, scanned.shapes, scanned.period_start)
