@@ -120,9 +120,9 @@ def dual_central_element(h: HypersurfaceData):
     w = list(ker[0])
     cert = is_regular_central(dual_a, w, bound)
     if not cert.central:
-        raise HypothesisViolation("centrality", "w is not central: " + cert.describe())
+        raise HypothesisViolation("centrality", "w is " + cert.describe())
     if not cert.regular:
-        raise HypothesisViolation("regularity", "w is not regular: " + cert.describe())
+        raise HypothesisViolation("regularity", "w is " + cert.describe())
     return w, dual_a, cert
 
 

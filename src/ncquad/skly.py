@@ -49,7 +49,7 @@ import os
 import threading
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
-from operator import index
+from operator import index, mul
 
 from .cliff import (HypersurfaceData, HypothesisViolation, clifford_with_scale,
                     require_central)
@@ -309,32 +309,32 @@ def _scan_sample(S: QuadraticPresentation, lift: list):
     return value, pattern
 
 
-def _rational_fit(points: list, dp: int, dq: int):
-    """Coprime (P, Q), deg within bounds, with P(x) = v Q(x) at all points.
+def _powers(x, k: int) -> list:
+    """[a^j b^(k - j) for j = 0..k], x = a / b: P(x) b^k is their dot product with P."""
+    a, b = x.numerator, x.denominator
+    return [a ** j * b ** (k - j) for j in range(k + 1)]
 
-    Returns None when no nonzero solution exists at these degree bounds.
-    Needs len(points) >= dp + dq + 1 so the reduced solution is unique
-    up to scale; the denominator is normalized monic.  The row of a point
-    x = a / b is scaled by b^max(dp, dq) and the denominator of v, which
-    leaves its kernel alone and makes every entry an integer.
+
+def _rational_fit(points: list, k: int):
+    """Coprime (P, Q), both of degree at most k, with P(x) = v Q(x) at all points.
+
+    Returns None when no nonzero solution exists at this degree bound.
+    Needs len(points) >= 2k + 1 so the reduced solution is unique up to
+    scale; the denominator is normalized monic.  The row of a point
+    x = a / b is _powers(x, k) times the denominator of v, then times
+    minus its numerator: the equation scaled by b^k and that denominator,
+    which leaves the kernel alone and makes every entry an integer.
     """
-    m = max(dp, dq)
     rows = []
     for x, v in points:
-        x, v = qq(x), qq(v)
-        a, b = [1], [1]
-        for _ in range(m):
-            a.append(a[-1] * x.numerator)
-            b.append(b[-1] * x.denominator)
-        powers = [a[k] * b[m - k] for k in range(m + 1)]
-        rows.append([v.denominator * p for p in powers[:dp + 1]]
-                    + [-v.numerator * p for p in powers[:dq + 1]])
-    ker = kernel_basis(Matrix.of_integers(rows, dp + dq + 2))
+        v, powers = qq(v), _powers(qq(x), k)
+        rows.append([v.denominator * p for p in powers] + [-v.numerator * p for p in powers])
+    ker = kernel_basis(Matrix.of_integers(rows, 2 * k + 2))
     if ker.cols == 0:
         return None
     sol = ker.column(0)
-    p = poly_trim(sol[:dp + 1])
-    q = poly_trim(sol[dp + 1:])
+    p = poly_trim(sol[:k + 1])
+    q = poly_trim(sol[k + 1:])
     if not q:
         return None
     g = poly_gcd(p, q)
@@ -424,8 +424,8 @@ class _RootFit:
     at most (h, h), h = ceil(d / 2), and equals sqrt(v / v0) at every
     given point.  numerator = v0 P^2 and denominator = Q^2 are the fit
     squared back, and degree, e = 2 max(deg P, deg Q), is theirs.
-    Checks evaluate P and Q, scaled to integer coefficient lists of one
-    length, at x = a / b by integer Horner steps in a and b.
+    Checks evaluate P and Q, scaled to integer coefficient lists of length
+    h + 1, at x = a / b as their dot products with _powers(x, h).
     """
 
     def __init__(self, points: list, degree_bound: int):
@@ -440,16 +440,15 @@ class _RootFit:
                                   % (qq_str(lam), qq_str(v0)))
             roots.append((lam, root))
         h = (degree_bound + 1) // 2
-        fit = _rational_fit(roots, h, h)
+        fit = _rational_fit(roots, h)
         if fit is None or 2 * max(map(poly_degree, fit)) > degree_bound:
             raise _inconsistent(degree_bound)
         p, q = fit
-        self.v0, self.degree = v0, 2 * max(map(poly_degree, fit))
+        self.v0, self.degree, self.h = v0, 2 * max(map(poly_degree, fit)), h
         self.numerator = [v0 * c for c in poly_mul(p, p)]
         self.denominator = poly_mul(q, q)
         scale = lcm(*[c.denominator for c in p + q])
-        k = max(len(p), len(q))
-        self._ints = [[(c * scale).numerator for c in f] + [0] * (k - len(f)) for f in fit]
+        self._ints = [[(c * scale).numerator for c in f] + [0] * (h + 1 - len(f)) for f in fit]
         for x, s in roots:
             px, qx = self._at(x)
             if px * s.denominator != s.numerator * qx:
@@ -457,15 +456,8 @@ class _RootFit:
 
     def _at(self, x) -> list:
         """[P(x), Q(x)], both times the same nonzero integer."""
-        a, b = x.numerator, x.denominator
-        out = []
-        for f in self._ints:
-            acc, bpow = 0, 1
-            for c in reversed(f):
-                acc = acc * a + c * bpow
-                bpow *= b
-            out.append(acc)
-        return out
+        powers = _powers(x, self.h)
+        return [sum(map(mul, f, powers)) for f in self._ints]
 
     def check(self, lam, v):
         """Raise PencilError naming lam unless v Q(lam)^2 = v0 P(lam)^2."""
@@ -706,13 +698,14 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     the same quadric.  HypothesisViolation is raised, also before any
     member, when omega1 or omega2 is not central.  PencilError is raised
     only for an outcome of the scan, once members have been read: when no
-    sample admits the construction, when the values vanish identically,
-    when a fit ratio v / v0 is negative or not a rational square (naming
-    the sample), when the fit misses a fit point or its square exceeds
-    degree d, when a later sample disagrees with it (naming the sample)
-    and when the main pattern ends with fewer than min_samples(d)
-    samples.  mode is "polynomial" when the reduced denominator is 1,
-    else "rational".
+    sample admits the construction (naming the first member's violation,
+    and the hypothesis when every member failed the same one), when the
+    values vanish identically, when a fit ratio v / v0 is negative or not
+    a rational square (naming the sample), when the fit misses a fit
+    point or its square exceeds degree d, when a later sample disagrees
+    with it (naming the sample) and when the main pattern ends with fewer
+    than min_samples(d) samples.  mode is "polynomial" when the reduced
+    denominator is 1, else "rational".
     """
     need = min_samples(degree_bound)
     samples = [qq(lam) for lam in samples]
@@ -734,8 +727,8 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
     if not (span.add(c1) and span.add(c2)):
         raise ValueError("omega1 and omega2 have dependent classes: every member is one quadric")
 
-    fit_size = 2 * ((d + 1) // 2) + 2
-    built = []            # (lambda, pattern, value) per member; (lambda, None, reason) if it failed
+    fit_size = need - 3    # the 2h + 2 samples min_samples counts for the fit
+    built = []            # (lambda, pattern, value) per member; (lambda, None, error) if it failed
     counts: dict = {}
     main = fit = None
     points: list = []
@@ -765,7 +758,7 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
             try:
                 value, pattern = helper.take(i, left)
             except HypothesisViolation as exc:
-                built.append((lam, None, str(exc)))
+                built.append((lam, None, exc))
                 continue
             built.append((lam, pattern, value))
             if fit is None:
@@ -788,14 +781,19 @@ def pencil_discriminant(S: QuadraticPresentation, omega1_lift, omega2_lift,
                 points.append((lam, value))
                 if len(points) == stop:
                     break
-        if not counts:
-            raise PencilError("no sample admitted the construction")
+        if not counts:  # every sample was built, and each failed a hypothesis
+            lam0, _, first = built[0]
+            same = all(exc.hypothesis == first.hypothesis for _, _, exc in built)
+            every = "every member failed %s; " % first.hypothesis if same else ""
+            raise PencilError("no sample admitted the construction: %sthe first, at %s: %s"
+                              % (every, qq_str(lam0), first))
         if len(points) < need:
             raise PencilError("need at least %d usable samples at degree bound %d, have %d"
                               % (need, d, len(points) or max(counts.values())))
         infinity_singular = helper.take(_AT_INFINITY, 0)
         helper.kill()  # its exit overlaps the rest; close() reaps it
-        skipped = [(lam, x if p is None else PATTERN_SKIP) for lam, p, x in built if p != main]
+        skipped = [(lam, str(x) if p is None else PATTERN_SKIP)
+                   for lam, p, x in built if p != main]
         mode = "polynomial" if fit.denominator == [1] else "rational"
         sq_degree = poly_squarefree_degree(fit.numerator)
         # members the fit does not see: those skipped for their pattern, and its poles

@@ -14,7 +14,7 @@ import ncquad
 from ncquad import cli, cliff
 from ncquad.cli import main, parse_quadratic_expression, resolve_z_spec
 from ncquad.exactlin import qq
-from ncquad.families import commutative_presentation, word_vector
+from ncquad.families import commutative_presentation, sklyanin_presentation, word_vector
 from ncquad.qalg import QuadraticPresentation, build_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -210,6 +210,25 @@ def test_inexact_presentation_coefficient_message(tmp_path, capsys):
     code = main(["hilbert", str(path), "--degree", "3"])
     assert (code, capsys.readouterr().err) == (
         2, "error: '1.5' is not an exact rational 'p' or 'p/q'\n")
+
+
+# (1, 2, -1) satisfies the family's equation, but its algebra is not
+# Koszul: no member's w is regular, with a left kernel at degree 2
+NOT_KOSZUL_ERRORS = {
+    ("pencil", "--omega1", "0", "--omega2", "1"):
+        "error: no sample admitted the construction: every member failed regularity; the "
+        "first, at 0: regularity hypothesis failed: w is not regular: left kernel at degree 2\n",
+    ("smooth", "--z", "0"):
+        "error: regularity hypothesis failed: w is not regular: left kernel at degree 2\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NOT_KOSZUL_ERRORS), ids=lambda argv: argv[0])
+def test_irregular_w_message(tmp_path, capsys, argv):
+    path = tmp_path / "not_koszul.json"
+    path.write_text(json.dumps(sklyanin_presentation(1, 2, -1).to_json_dict()))
+    code = main([argv[0], str(path), *argv[1:]])
+    assert (code, capsys.readouterr().err) == (1, NOT_KOSZUL_ERRORS[argv])
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))

@@ -15,7 +15,7 @@ from ncquad.families import (commutative_presentation, sklyanin_gamma,
                              word_vector)
 from ncquad.findim import analyze
 from ncquad.qalg import (QuadraticPresentation, build_table, central_quadratic_space,
-                         element_word_lift)
+                         element_word_lift, hilbert, koszul_identity_check)
 from ncquad.skly import (INFINITY, Curve, ECPoint, PencilError, SecantLine,
                          fat_point_h0, pencil_discriminant)
 
@@ -319,12 +319,59 @@ def test_pencil_rejects_noncentral():
         pencil_discriminant(skly, omega, not_central, list(range(10)), 3, table=table)
 
 
-def _sklyanin_a_pencil():
-    pres = sklyanin_presentation("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
+def _sklyanin_pencil(alpha, beta, gamma):
+    # the pencil spanned by the basis of the central quadratic space
+    pres = sklyanin_presentation(alpha, beta, gamma)
     table = build_table(pres, 3)
     center = central_quadratic_space(table)
     return (pres, element_word_lift(table, center.column(0), 2),
             element_word_lift(table, center.column(1), 2), table)
+
+
+def _sklyanin_a_pencil():
+    return _sklyanin_pencil("1/2", "-1/3", sklyanin_gamma("1/2", "-1/3"))
+
+
+# Degenerate parameters of the family, each scanned at 60 integer samples
+# and d = 16.  The counts record what the code outputs today, not a theorem
+# about these algebras.
+DEGENERATE_COUNTS = [((0, 2, -2), 3, False), ((3, 0, -3), 3, False),
+                     ((2, -2, 0), 3, True), (("1/2", "-1/2", 0), 3, True),
+                     ((0, 0, 0), 2, False), ((-1, 3, 1), 4, False)]
+
+
+@pytest.mark.parametrize("params, count, infinity_singular", DEGENERATE_COUNTS)
+def test_degenerate_sklyanin_pencils_as_counted_today(params, count, infinity_singular):
+    pres, omega1, omega2, table = _sklyanin_pencil(*params)
+    report = pencil_discriminant(pres, omega1, omega2, range(60), 16, table=table)
+    assert (report.distinct_root_count, report.infinity_singular, report.certified) == (
+        count, infinity_singular, True)
+
+
+@pytest.mark.parametrize("params", [(1, 2, -1), (1, 1, -1)])
+def test_non_koszul_sklyanin_pencils_admit_no_member(params):
+    # the Hilbert dims of a polynomial ring through degree 5, but not
+    # Koszul, and no member's w is regular; also the code's output today
+    pres, omega1, omega2, table = _sklyanin_pencil(*params)
+    assert hilbert(build_table(pres, 5)) == [1, 4, 10, 20, 35, 56]
+    assert koszul_identity_check(pres, 6) == [0, 0, 0, 0, 3, -8, 18]
+    with pytest.raises(PencilError, match="^no sample admitted the construction: every member "
+                       "failed regularity; the first, at 0: regularity hypothesis failed: "
+                       "w is not regular: left kernel at degree 2$"):
+        pencil_discriminant(pres, omega1, omega2, range(60), 16, table=table)
+
+
+def test_no_member_error_names_the_first_violation(monkeypatch):
+    # members fail two hypotheses in turn, so no one hypothesis is named
+    def scan(S, lift):
+        if lift[0] % 2:
+            raise HypothesisViolation("centrality", "w is not central")
+        raise HypothesisViolation("regularity", "w is not regular at %s" % lift[0])
+    monkeypatch.setattr(skly, "_scan_sample", scan)
+    monkeypatch.setattr(skly, "_usable_cpus", lambda: 1)  # no helper to fork for it
+    with pytest.raises(PencilError, match="^no sample admitted the construction: the first, "
+                       "at -2: regularity hypothesis failed: w is not regular at -2$"):
+        pencil_discriminant(*_comm_pencil(), list(range(-2, 9)), 4)
 
 
 def _control_pencil():
@@ -363,7 +410,7 @@ def test_root_fit_matches_direct_fit(monkeypatch, one_cpu, pencil, built):
     assert (report.fit_degree, report.certified, len(report.sample_values)) == (16, True, 33)
     assert report.sample_values == points[:33]
     assert report.distinct_root_count == 4
-    assert skly._rational_fit(points[:34], 16, 16) == (
+    assert skly._rational_fit(points[:34], 16) == (
         report.numerator, report.denominator)
 
 

@@ -53,7 +53,7 @@ def test_lazy_scan_matches_the_direct_fit(p, q, c, slack, den):
     count = max(2 * d + 2, skly.min_samples(d))
     samples = [t for t in (qq(k, den) for k in range(-20, 80)) if poly_eval(q, t)][:count]
     values = [qq(c) * (poly_eval(p, t) / poly_eval(q, t)) ** 4 for t in samples]
-    reference = skly._rational_fit(list(zip(samples, values))[:2 * d + 2], d, d)
+    reference = skly._rational_fit(list(zip(samples, values))[:2 * d + 2], d)
     outcomes = {t: (v, ()) for t, v in zip(samples, values)}
     with pytest.MonkeyPatch.context() as mp:
         # Q1 has no x0 x0 term and Q2 has x0 x0 = 1, so lift[0] is the sample

@@ -6,7 +6,9 @@ exact integer functions; for imports of anything but the standard
 library, the package's own modules and gmpy2 (numpy, sympy and
 hypothesis serve tests and benches only); and for process control,
 os.fork, os.kill, os._exit and pickle, outside skly's one helper.  Every
-name the benchmark's traced pass wraps must exist in the package.
+name the benchmark's traced pass wraps must exist in the package.  The
+code-line counter in tools/ is checked on a source with each kind of
+line.
 """
 
 import ast
@@ -123,13 +125,39 @@ def test_processes_are_forked_only_by_the_scan_helper(path):
     assert [u for u in uses if (path.name, u[2]) not in HELPER_CODE] == []
 
 
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_code_line_counter_sees_each_kind_of_line(tmp_path, capsys):
+    counter = _load("_code_lines", ROOT / "tools" / "code_lines.py")
+    src = ('"""A module docstring\n\non three lines."""\n'
+           "\n"
+           "# a comment\n"
+           "import os  # code, with a comment\n"
+           "class C:\n"
+           '    """A class docstring."""\n'
+           "    def f(self,\n"
+           "          y):\n"
+           '        """A function docstring."""\n'
+           '        s = """a string\n'
+           'that is not a docstring"""\n'
+           "\n"
+           "        return s  # code\n")
+    assert counter.code_lines(src) == 7
+    (tmp_path / "a.py").write_text(src)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert counter.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "     7  a.py\n     1  b.py\n     8  total\n"
+
+
 def test_every_traced_name_is_in_the_package():
     # the traced benchmark wraps these names; a sweep that deleted one
     # would otherwise break only that benchmark
-    spec = importlib.util.spec_from_file_location("_perfbench_spans",
-                                                  ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("_perfbench_spans", ROOT / "perfbench" / "spans.py")
     missing = [(module, name) for module, names in spans.LAYERS.items() for name in names
                if not hasattr(importlib.import_module("ncquad." + module), name)]
     assert missing == []
